@@ -26,7 +26,7 @@ struct AblationResult {
 AblationResult run(const Problem& problem, const EngineConfig& opt,
                    double timeout) {
     SolveConfig cfg;
-    cfg.solver = sat::SolverKind::kCmsLike;
+    cfg.solver = "cms";
     cfg.preprocess = true;
     cfg.engine = opt;
     cfg.timeout_s = timeout;

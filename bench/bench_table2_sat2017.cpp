@@ -27,13 +27,13 @@ struct Row {
     size_t sat = 0, unsat = 0;
 };
 
-Row run(const std::vector<const sat::Cnf*>& instances, sat::SolverKind kind,
+Row run(const std::vector<const sat::Cnf*>& instances, const char* solver,
         bool with, const BenchScale& scale) {
     Row row;
     std::vector<SolveOutcome> outcomes;
     for (const sat::Cnf* cnf : instances) {
         const Result<SolveOutcome> out = solve(
-            Problem::from_cnf(*cnf), bench::make_config(kind, with, scale));
+            Problem::from_cnf(*cnf), bench::make_config(solver, with, scale));
         if (!out.ok()) {
             // Score the failure as unsolved so it penalises PAR-2.
             std::fprintf(stderr, "c solve error: %s\n",
@@ -77,19 +77,16 @@ int main() {
     // paper (they keep instances needing > 2,500 s; we keep > timeout / 2).
     std::vector<const sat::Cnf*> hard;
     for (const auto& inst : suite) {
-        const auto probe = sat::solve_cnf(inst.cnf,
-                                          sat::SolverKind::kMinisatLike,
-                                          scale.timeout_s / 2);
-        if (probe.result == sat::Result::kUnknown) hard.push_back(&inst.cnf);
+        const auto probe =
+            sat::solve_cnf_with(inst.cnf, "minisat", scale.timeout_s / 2);
+        if (probe.ok() && probe->result == sat::Result::kUnknown)
+            hard.push_back(&inst.cnf);
     }
     std::printf("hard subset (minisat-like > %.0fs): %zu instances\n\n",
                 scale.timeout_s / 2, hard.size());
 
     std::printf("%-16s %-3s  %-15s  %-15s  %-15s\n", "set", "",
                 "minisat-like", "lingeling-like", "cms-like");
-    constexpr sat::SolverKind kKinds[] = {sat::SolverKind::kMinisatLike,
-                                          sat::SolverKind::kLingelingLike,
-                                          sat::SolverKind::kCmsLike};
     struct Set {
         const char* name;
         const std::vector<const sat::Cnf*>* instances;
@@ -98,8 +95,8 @@ int main() {
     for (const auto& set : sets) {
         for (const bool with : {false, true}) {
             std::printf("%-16s %-3s", with ? "" : set.name, with ? "w" : "w/o");
-            for (const auto kind : kKinds) {
-                const Row row = run(*set.instances, kind, with, scale);
+            for (const char* solver : bench::kTable2Solvers) {
+                const Row row = run(*set.instances, solver, with, scale);
                 std::printf("  %8.1f (%zu+%zu)", row.par2, row.sat, row.unsat);
             }
             std::printf("\n");

@@ -58,10 +58,14 @@ struct Cell {
     size_t solved_unsat = 0;
 };
 
-inline SolveConfig make_config(sat::SolverKind kind, bool use_bosphorus,
+/// The three Table II back ends, as registry names, in column order.
+inline constexpr const char* kTable2Solvers[] = {"minisat", "lingeling",
+                                                 "cms"};
+
+inline SolveConfig make_config(const char* solver, bool use_bosphorus,
                                const BenchScale& scale) {
     SolveConfig cfg;
-    cfg.solver = kind;
+    cfg.solver = solver;
     cfg.preprocess = use_bosphorus;
     cfg.timeout_s = scale.timeout_s;
     cfg.engine_budget_s = scale.bosphorus_budget_s;
@@ -87,9 +91,6 @@ inline void run_class_row(
     const std::string& name,
     const std::function<AnfInstance(size_t)>& make_instance,
     const BenchScale& scale) {
-    constexpr sat::SolverKind kKinds[] = {sat::SolverKind::kMinisatLike,
-                                          sat::SolverKind::kLingelingLike,
-                                          sat::SolverKind::kCmsLike};
     // Generate instances once, as facade problems.
     std::vector<Problem> problems;
     for (size_t i = 0; i < scale.instances; ++i) {
@@ -101,12 +102,12 @@ inline void run_class_row(
     for (const bool with : {false, true}) {
         std::printf("%-14s %-3s", with ? "" : name.c_str(),
                     with ? "w" : "w/o");
-        for (const sat::SolverKind kind : kKinds) {
+        for (const char* solver : kTable2Solvers) {
             Cell cell;
             std::vector<SolveOutcome> outcomes;
             for (const auto& problem : problems) {
                 const Result<SolveOutcome> run =
-                    solve(problem, make_config(kind, with, scale));
+                    solve(problem, make_config(solver, with, scale));
                 if (!run.ok()) {
                     // Score the failure as unsolved so it penalises the
                     // cell's PAR-2 instead of flattering it.

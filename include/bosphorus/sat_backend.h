@@ -5,12 +5,13 @@
 ///
 /// The paper's central evaluation (Table II) runs Bosphorus in front of
 /// *interchangeable* CDCL back ends (MiniSat, Lingeling, CryptoMiniSat).
-/// This header makes that axis a first-class, open API instead of a
-/// closed enum: every place the library hands a CNF to a SAT solver --
-/// the one-shot `bosphorus::solve()` back end, the in-loop
-/// conflict-bounded SAT technique, a `Session`'s persistent warm solver,
-/// portfolio entries -- goes through a `SolverBackend` created from a
-/// `SolverSpec` by the registry.
+/// This header makes that axis a first-class, open API: every place the
+/// library hands a CNF to a SAT solver -- the one-shot
+/// `bosphorus::solve()` back end, the in-loop conflict-bounded SAT
+/// technique, a `Session`'s persistent warm solver, portfolio entries --
+/// goes through a `SolverBackend`, created from a `SolverSpec` by the
+/// registry or, for the in-loop step's default solver, by
+/// `make_native_backend()`.
 ///
 /// Built-in backends (always registered):
 ///
@@ -63,9 +64,8 @@ namespace bosphorus::sat {
 ///
 /// The part before the first `':'` selects the registry entry; anything
 /// after it is the backend's argument (the command line, for
-/// `dimacs-exec`). Implicitly constructible from strings -- so APIs take
-/// a `SolverSpec` and callers write `cfg.solver = "minisat";` -- and,
-/// for source compatibility, from the deprecated `SolverKind` enum.
+/// `dimacs-exec`). Implicitly constructible from strings, so APIs take
+/// a `SolverSpec` and callers write `cfg.solver = "minisat";`.
 struct SolverSpec {
     /// The full specification string, `<backend>[:<argument>]`.
     std::string spec = kDefaultSolverName;
@@ -76,9 +76,6 @@ struct SolverSpec {
     SolverSpec(std::string s) : spec(std::move(s)) {}  // NOLINT: implicit
     /// Wrap a C-string specification (implicit by design).
     SolverSpec(const char* s) : spec(s) {}  // NOLINT: implicit
-    /// Adapt the legacy closed enum ("minisat" / "lingeling" / "cms").
-    /// Deprecated: pass the backend name directly.
-    SolverSpec(SolverKind kind);  // NOLINT: implicit
 
     /// The registry name: everything before the first ':'.
     std::string backend_name() const;
@@ -295,6 +292,14 @@ struct ResilienceOptions {
 ::bosphorus::Result<std::unique_ptr<SolverBackend>> make_resilient_backend(
     const std::string& arg);
 
+/// The built-in CDCL solver behind the interface, configured in full by
+/// `cfg` (native XOR, in-processing profile, restart unit, learnt-DB
+/// knobs). `name()` is `"native"`, assumptions are native, and no XOR
+/// recovery runs: callers hand it native XORs directly. Not registered --
+/// it is the in-loop SAT step's solver when no backend spec is
+/// configured, not a user-selectable back end.
+std::unique_ptr<SolverBackend> make_native_backend(const Solver::Config& cfg);
+
 /// The process-global, thread-safe registry of SAT back-end factories.
 ///
 /// A factory takes the spec argument (the part after ':', empty for plain
@@ -346,10 +351,8 @@ private:
 /// One-call CNF solving through the registry: create a backend from
 /// `spec`, load `cnf`, solve with the given wall-clock timeout (< 0:
 /// none) and conflict budget (< 0: unbounded), and package the verdict,
-/// model (resized to `cnf.num_vars`) and statistics. The registry-based
-/// replacement for the deprecated enum-based `solve_cnf()`; for the three
-/// built-in names the verdict is identical to that path. Errors only on
-/// an unknown / malformed spec.
+/// model (resized to `cnf.num_vars`) and statistics. Errors only on an
+/// unknown / malformed spec.
 ::bosphorus::Result<CnfSolveOutcome> solve_cnf_with(const Cnf& cnf, const SolverSpec& spec,
                                        double timeout_s = -1,
                                        int64_t conflict_budget = -1);

@@ -244,7 +244,8 @@ struct SatTechniqueConfig {
     /// Also harvest general learnt binary clauses as quadratic facts.
     bool harvest_binary_clauses = false;
     /// In-loop solver back end: empty selects the built-in native solver
-    /// (configured by `native_xor`); any registered
+    /// (sat::make_native_backend, configured by `native_xor` and the
+    /// in-processing knobs below); any registered
     /// bosphorus/sat_backend.h spec ("minisat", "dimacs-exec:kissat",
     /// ...) routes the step through that backend instead. Fact harvesting
     /// then uses whatever the backend can export (external processes
@@ -262,7 +263,7 @@ struct SatTechniqueConfig {
     /// Master switch for the in-processing engine (vivification, tiered
     /// learnt-DB management, profile auto-reconfiguration) of the native
     /// solver. Off reproduces the legacy solver numerically. Ignored by
-    /// external backends.
+    /// registry backends (a non-empty `backend`).
     bool inprocess = true;
     /// Solver profile: "auto" (feature-driven selection, re-evaluated per
     /// solve call), "fixed" (honour the explicit knobs below), or a named

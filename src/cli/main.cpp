@@ -69,7 +69,9 @@ void usage() {
         "                  an external DIMACS solver binary; the CNF file\n"
         "                  path is appended as its last argument)\n"
         "  --loop-solver SPEC  back end of the in-loop conflict-bounded\n"
-        "                  SAT step (default: the built-in native solver)\n"
+        "                  SAT step (default: the built-in native solver;\n"
+        "                  not combinable with --sat-* / --no-inprocess,\n"
+        "                  which tune the native solver only)\n"
         "  --list-solvers  print the registered back-ends and exit\n"
         "\n"
         "concurrency:\n"
@@ -343,6 +345,16 @@ int run(int argc, char** argv) {
             usage();
             return 2;
         }
+    }
+    // The native-solver knobs never reach a registry backend: refuse the
+    // combination instead of silently dropping them.
+    if (!opt.sat_backend.empty() &&
+        (sat_profile_explicit || sat_knob_explicit || !opt.sat_inprocess)) {
+        std::fprintf(stderr,
+                     "--loop-solver does not support --sat-profile, "
+                     "--sat-restart-base, --sat-db-floor or --no-inprocess "
+                     "(they tune the built-in native solver only)\n");
+        return 2;
     }
     // Explicit solver knobs are dead weight while a profile overrides
     // them: --sat-restart-base / --sat-db-floor imply --sat-profile fixed

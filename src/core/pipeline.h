@@ -24,8 +24,7 @@ namespace bosphorus::core {
 struct PipelineConfig {
     Options bosphorus;             ///< loop parameters (section IV defaults)
     /// Back-end solver spec (any bosphorus/sat_backend.h registry name);
-    /// matches the CLI's documented default (`cms`). The legacy
-    /// sat::SolverKind enum still assigns here.
+    /// matches the CLI's documented default (`cms`).
     sat::SolverSpec solver;
     bool use_bosphorus = false;    ///< the w/o vs w axis of Table II
     double timeout_s = 5000.0;     ///< total per-instance budget

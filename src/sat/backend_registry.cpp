@@ -1,7 +1,7 @@
-// The SAT back-end registry and the three in-tree adapters.
+// The SAT back-end registry and the in-tree adapters.
 //
-// Each built-in configuration of the deprecated closed enum (minisat /
-// lingeling / cms) becomes a registered SolverBackend over sat::Solver:
+// The paper's three Table II back ends are registered SolverBackends over
+// sat::Solver:
 //
 //  - "minisat":  a persistent incremental Solver without native XOR
 //    support; assumptions are native (solve_assuming).
@@ -11,11 +11,13 @@
 //    preprocessing.
 //  - "cms": a persistent incremental Solver with native XOR + level-0
 //    Gauss-Jordan; clauses added before the first solve additionally go
-//    through recover_xors (CryptoMiniSat-style XOR detection), exactly
-//    like the enum path did.
+//    through recover_xors (CryptoMiniSat-style XOR detection).
 //
-// The "dimacs-exec" external-process backend lives in dimacs_exec.cpp and
-// is registered here alongside the in-tree three.
+// make_native_backend wraps the same persistent adapter, unregistered,
+// around a caller-supplied Solver::Config: it is the in-loop SAT step's
+// solver when no backend spec is configured. The "dimacs-exec"
+// external-process backend lives in dimacs_exec.cpp and is registered
+// here alongside the in-tree three.
 #include "bosphorus/sat_backend.h"
 
 #include <algorithm>
@@ -29,14 +31,6 @@
 namespace bosphorus::sat {
 
 // ---- SolverSpec ------------------------------------------------------------
-
-SolverSpec::SolverSpec(SolverKind kind) {
-    switch (kind) {
-        case SolverKind::kMinisatLike: spec = "minisat"; break;
-        case SolverKind::kLingelingLike: spec = "lingeling"; break;
-        case SolverKind::kCmsLike: spec = "cms"; break;
-    }
-}
 
 std::string SolverSpec::backend_name() const {
     const size_t colon = spec.find(':');
@@ -63,21 +57,19 @@ bool SolverBackend::load(const Cnf& cnf) {
 
 namespace {
 
-// ---- "minisat" / "cms": persistent incremental adapters --------------------
+// ---- "minisat" / "cms" / native: persistent incremental adapter -----------
 
-/// Shared shape of the two live in-tree adapters: one persistent Solver,
-/// native assumptions via solve_assuming, facts forwarded straight from
-/// the solver. The CMS flavor adds native XOR plus one-shot XOR recovery
-/// over the clauses buffered before the first solve.
+/// One persistent Solver built from `cfg`, native assumptions via
+/// solve_assuming, facts forwarded straight from the solver. The CMS
+/// flavor adds one-shot XOR recovery over the clauses buffered before the
+/// first solve.
 class InTreeBackend final : public SolverBackend {
 public:
-    InTreeBackend(std::string name, bool native_xor, bool recover)
-        : name_(std::move(name)), recover_pending_(recover) {
-        Solver::Config cfg;
-        cfg.enable_xor = native_xor;
-        solver_ = std::make_unique<Solver>(cfg);
-        native_xor_ = native_xor;
-    }
+    InTreeBackend(std::string name, const Solver::Config& cfg, bool recover)
+        : name_(std::move(name)),
+          solver_(std::make_unique<Solver>(cfg)),
+          recover_pending_(recover),
+          native_xor_(cfg.enable_xor) {}
 
     std::string name() const override { return name_; }
 
@@ -92,8 +84,8 @@ public:
     }
 
     bool add_xor(const XorConstraint& x) override {
-        // Native XORs arriving before the first solve disable recovery,
-        // mirroring solve_cnf's "only when cnf.xors is empty" rule.
+        // Native XORs arriving before the first solve disable recovery:
+        // it only runs over pure-clause input.
         recover_pending_ = false;
         preload_clauses_.clear();
         preload_clauses_.shrink_to_fit();
@@ -231,7 +223,7 @@ public:
         if (solver.load(work)) {
             r = solver.solve(conflict_budget, timeout_s);
         }
-        accumulate(solver.stats());
+        stats_ += solver.stats();
         if (r == Result::kUnsat) {
             if (assumptions.empty()) ok_ = false;
             failed_all_ = !assumptions.empty();
@@ -280,16 +272,6 @@ public:
     }
 
 private:
-    void accumulate(const Solver::Stats& s) {
-        stats_.conflicts += s.conflicts;
-        stats_.decisions += s.decisions;
-        stats_.propagations += s.propagations;
-        stats_.restarts += s.restarts;
-        stats_.learnt_clauses += s.learnt_clauses;
-        stats_.deleted_clauses += s.deleted_clauses;
-        stats_.xor_propagations += s.xor_propagations;
-    }
-
     void harvest(const Solver& solver) {
         for (const Lit u : solver.learnt_units()) {
             if (units_seen_.insert(u.raw()).second) units_.push_back(u);
@@ -327,6 +309,10 @@ Status no_argument(const std::string& name, const std::string& arg) {
 
 }  // namespace
 
+std::unique_ptr<SolverBackend> make_native_backend(const Solver::Config& cfg) {
+    return std::make_unique<InTreeBackend>("native", cfg, /*recover=*/false);
+}
+
 // ---- BackendRegistry -------------------------------------------------------
 
 BackendRegistry& BackendRegistry::global() {
@@ -344,7 +330,7 @@ BackendRegistry& BackendRegistry::global() {
                 const Status s = no_argument("minisat", arg);
                 if (!s.ok()) return s;
                 return std::unique_ptr<SolverBackend>(new InTreeBackend(
-                    "minisat", /*native_xor=*/false, /*recover=*/false));
+                    "minisat", Solver::Config{}, /*recover=*/false));
             });
         add("lingeling",
             "CDCL + SatELite-style preprocessing; cold per solve",
@@ -362,8 +348,10 @@ BackendRegistry& BackendRegistry::global() {
                 -> ::bosphorus::Result<std::unique_ptr<SolverBackend>> {
                 const Status s = no_argument("cms", arg);
                 if (!s.ok()) return s;
-                return std::unique_ptr<SolverBackend>(new InTreeBackend(
-                    "cms", /*native_xor=*/true, /*recover=*/true));
+                Solver::Config cfg;
+                cfg.enable_xor = true;
+                return std::unique_ptr<SolverBackend>(
+                    new InTreeBackend("cms", cfg, /*recover=*/true));
             });
         add("dimacs-exec",
             "external DIMACS solver process: dimacs-exec:<command>",

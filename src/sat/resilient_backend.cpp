@@ -394,7 +394,7 @@ private:
                 return Attempt::kFailed;
             }
             model_ = std::move(model);
-            accumulate(b.stats());
+            stats_ += b.stats();
             *verdict = Result::kSat;
             return Attempt::kVerdict;
         }
@@ -402,7 +402,7 @@ private:
             // Trusted, like every other path that cannot check proofs.
             if (outright) ok_ = false;
             failed_all_ = !outright;
-            accumulate(b.stats());
+            stats_ += b.stats();
             *verdict = Result::kUnsat;
             return Attempt::kVerdict;
         }
@@ -412,7 +412,7 @@ private:
             // In-tree backends do not crash: kUnknown means the conflict
             // budget or the attempt's wall-clock ran out -- a legitimate
             // outcome the engine loop knows how to continue from.
-            accumulate(b.stats());
+            stats_ += b.stats();
             *verdict = Result::kUnknown;
             return Attempt::kVerdict;
         }
@@ -438,16 +438,6 @@ private:
             if (timeout_s >= 0 && overall.seconds() >= timeout_s) return;
             std::this_thread::sleep_for(std::chrono::milliseconds(2));
         }
-    }
-
-    void accumulate(const Solver::Stats& s) {
-        stats_.conflicts += s.conflicts;
-        stats_.decisions += s.decisions;
-        stats_.propagations += s.propagations;
-        stats_.restarts += s.restarts;
-        stats_.learnt_clauses += s.learnt_clauses;
-        stats_.deleted_clauses += s.deleted_clauses;
-        stats_.xor_propagations += s.xor_propagations;
     }
 
     std::vector<SolverSpec> chain_;

@@ -3,27 +3,7 @@
 #include <algorithm>
 #include <map>
 
-#include "sat/preprocess.h"
-#include "util/timer.h"
-
 namespace bosphorus::sat {
-
-const char* solver_kind_name(SolverKind kind) {
-    switch (kind) {
-        case SolverKind::kMinisatLike: return "minisat-like";
-        case SolverKind::kLingelingLike: return "lingeling-like";
-        case SolverKind::kCmsLike: return "cms-like";
-    }
-    return "?";
-}
-
-::bosphorus::Result<SolverKind> solver_kind_from_name(const std::string& name) {
-    if (name == "minisat") return SolverKind::kMinisatLike;
-    if (name == "lingeling") return SolverKind::kLingelingLike;
-    if (name == "cms") return SolverKind::kCmsLike;
-    return Status::invalid_argument(
-        "unknown solver '" + name + "' (expected minisat, lingeling or cms)");
-}
 
 void append_xor_as_clauses(Cnf& cnf, const XorConstraint& x, size_t cut) {
     std::vector<Var> work = x.vars;
@@ -132,48 +112,6 @@ bool model_satisfies(const Cnf& cnf, const std::vector<LBool>& model) {
         if (parity != x.rhs) return false;
     }
     return true;
-}
-
-CnfSolveOutcome solve_cnf(const Cnf& cnf, SolverKind kind, double timeout_s,
-                       int64_t conflict_budget) {
-    Timer timer;
-    CnfSolveOutcome out;
-
-    Cnf work = cnf;
-    Preprocessor prep;
-    if (kind == SolverKind::kLingelingLike) {
-        if (!prep.simplify(work)) {
-            out.result = Result::kUnsat;
-            out.seconds = timer.seconds();
-            return out;
-        }
-    }
-    if (kind == SolverKind::kCmsLike && work.xors.empty()) {
-        work.xors = recover_xors(work);
-    }
-
-    Solver::Config cfg;
-    cfg.enable_xor = (kind == SolverKind::kCmsLike);
-    Solver solver(cfg);
-    if (!solver.load(work)) {
-        out.result = Result::kUnsat;
-        out.stats = solver.stats();
-        out.seconds = timer.seconds();
-        return out;
-    }
-    out.result = solver.solve(conflict_budget, timeout_s);
-    out.stats = solver.stats();
-    if (out.result == Result::kSat) {
-        out.model = solver.model();
-        out.model.resize(std::max(out.model.size(),
-                                  static_cast<size_t>(cnf.num_vars)),
-                         LBool::kFalse);
-        if (kind == SolverKind::kLingelingLike) prep.extend_model(out.model);
-        for (auto& v : out.model)
-            if (v == LBool::kUndef) v = LBool::kFalse;
-    }
-    out.seconds = timer.seconds();
-    return out;
 }
 
 }  // namespace bosphorus::sat

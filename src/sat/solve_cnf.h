@@ -1,35 +1,20 @@
-// One-call solving front-end with the three back-end configurations used in
-// the paper's Table II:
-//
-//   kMinisatLike   : plain CDCL (stands in for MiniSat 2.2)
-//   kLingelingLike : CDCL + SatELite-style preprocessing (Lingeling)
-//   kCmsLike       : CDCL + XOR recovery + Gauss-Jordan (CryptoMiniSat5)
-//
-// The facade also recovers native XOR constraints from plain CNF for the
-// CMS-like configuration, mirroring CryptoMiniSat's xor-detection.
+// CNF-level helpers shared by the SAT back ends: the outcome of one
+// CNF solve (see solve_cnf_with in include/bosphorus/sat_backend.h), the
+// CryptoMiniSat-style XOR recovery the "cms" backend runs, the one
+// XOR-to-clauses expansion, and model verification.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "bosphorus/status.h"
 #include "sat/solver.h"
 #include "sat/types.h"
 
 namespace bosphorus::sat {
 
-enum class SolverKind { kMinisatLike, kLingelingLike, kCmsLike };
-
 /// The back end used when none is specified, everywhere (CLI --solver
-/// default, SolveConfig, PipelineConfig): the CMS-like configuration.
-inline constexpr SolverKind kDefaultSolverKind = SolverKind::kCmsLike;
+/// default, SolveConfig, PipelineConfig): the CMS-like registry backend.
 inline constexpr const char* kDefaultSolverName = "cms";
-
-const char* solver_kind_name(SolverKind kind);
-
-/// Parse a CLI-style solver name: "minisat", "lingeling" or "cms".
-::bosphorus::Result<SolverKind> solver_kind_from_name(const std::string& name);
 
 /// What one CNF-level solve produced. (Named CnfSolveOutcome -- not
 /// SolveOutcome -- so the public bosphorus::SolveOutcome of
@@ -40,18 +25,6 @@ struct CnfSolveOutcome {
     Solver::Stats stats;
     double seconds = 0.0;
 };
-
-/// Solve `cnf` with the given configuration, wall-clock timeout (seconds,
-/// < 0 for none) and conflict budget (< 0 for unbounded).
-///
-/// Deprecated: the closed SolverKind axis is superseded by the pluggable
-/// back-end interface of include/bosphorus/sat_backend.h (the registry's
-/// "minisat"/"lingeling"/"cms" backends reproduce these three
-/// configurations exactly; solve_cnf_with is the drop-in replacement).
-/// Kept as the equivalence oracle the backend tests compare against.
-CnfSolveOutcome solve_cnf(const Cnf& cnf, SolverKind kind,
-                          double timeout_s = -1,
-                          int64_t conflict_budget = -1);
 
 /// Detect XOR constraints encoded as full 2^(l-1)-clause groups over the
 /// same variable set (sizes 2..max_len). Clauses are left in place; the

@@ -66,6 +66,23 @@ public:
         uint64_t vivify_passes = 0;      ///< vivification sweeps run
         uint64_t reconf_decisions = 0;   ///< auto profile switches applied
         uint64_t db_reductions = 0;      ///< tiered reduce sweeps
+
+        /// Field-wise sum, for backends that aggregate several solvers.
+        Stats& operator+=(const Stats& o) {
+            conflicts += o.conflicts;
+            decisions += o.decisions;
+            propagations += o.propagations;
+            restarts += o.restarts;
+            learnt_clauses += o.learnt_clauses;
+            deleted_clauses += o.deleted_clauses;
+            xor_propagations += o.xor_propagations;
+            vivified_literals += o.vivified_literals;
+            vivified_clauses += o.vivified_clauses;
+            vivify_passes += o.vivify_passes;
+            reconf_decisions += o.reconf_decisions;
+            db_reductions += o.db_reductions;
+            return *this;
+        }
     };
 
     Solver() : Solver(Config{}) {}

@@ -1,7 +1,7 @@
 // The pluggable SAT back-end layer: registry contents, SolverSpec
 // parsing, IPASIR-style adapter behaviour (assumptions, failed(),
-// interrupt), verdict equivalence of the registry path against the
-// deprecated enum path, the facade/Session/portfolio re-plumb, and the
+// interrupt), verdict equivalence of the built-in backends against brute
+// force, the facade/Session/portfolio re-plumb, and the
 // heterogeneous backend portfolio.
 #include "bosphorus/sat_backend.h"
 
@@ -99,34 +99,23 @@ TEST(SolverSpec, SplitsNameAndArgument) {
     EXPECT_EQ(s.argument(), "kissat -q --time=10");
     // The argument may itself contain ':'.
     EXPECT_EQ(SolverSpec{"dimacs-exec:a:b"}.argument(), "a:b");
-    // The deprecated enum converts to the matching name.
-    EXPECT_EQ(SolverSpec{sat::SolverKind::kMinisatLike}.spec, "minisat");
-    EXPECT_EQ(SolverSpec{sat::SolverKind::kLingelingLike}.spec, "lingeling");
-    EXPECT_EQ(SolverSpec{sat::SolverKind::kCmsLike}.spec, "cms");
     // Default = the documented default backend.
     EXPECT_EQ(SolverSpec{}.spec, sat::kDefaultSolverName);
 }
 
-// ---- equivalence with the deprecated enum path -----------------------------
+// ---- verdict equivalence across the built-in backends -----------------------
 
 class BackendEquivalence : public ::testing::TestWithParam<int> {};
 
-TEST_P(BackendEquivalence, RegistryPathMatchesEnumPathAndBruteForce) {
+TEST_P(BackendEquivalence, RegistryPathMatchesBruteForce) {
     Rng rng(GetParam() + 1);
     const size_t nv = 5 + rng.below(6);
     const Cnf cnf = cnfgen::random_ksat(nv, nv * 4 + rng.below(nv), 3, rng);
     const bool expect_sat = !cnf_models(cnf).empty();
 
-    const std::pair<const char*, sat::SolverKind> pairs[] = {
-        {"minisat", sat::SolverKind::kMinisatLike},
-        {"lingeling", sat::SolverKind::kLingelingLike},
-        {"cms", sat::SolverKind::kCmsLike},
-    };
-    for (const auto& [name, kind] : pairs) {
-        const sat::CnfSolveOutcome oracle = sat::solve_cnf(cnf, kind);
+    for (const char* name : {"minisat", "lingeling", "cms"}) {
         const auto out = sat::solve_cnf_with(cnf, name);
         ASSERT_TRUE(out.ok()) << name;
-        EXPECT_EQ(out->result, oracle.result) << name;
         EXPECT_EQ(out->result,
                   expect_sat ? sat::Result::kSat : sat::Result::kUnsat)
             << name;
@@ -258,6 +247,105 @@ TEST(BackendInterrupt, TerminateCallbackStopsTheSolve) {
     stop.store(true);
     EXPECT_EQ(b.solve(-1, 30.0), sat::Result::kUnknown);
 }
+
+// ---- statistics and adapter transparency -----------------------------------
+
+void expect_stats_eq(const sat::Solver::Stats& a, const sat::Solver::Stats& b,
+                     const std::string& where) {
+    EXPECT_EQ(a.conflicts, b.conflicts) << where;
+    EXPECT_EQ(a.decisions, b.decisions) << where;
+    EXPECT_EQ(a.propagations, b.propagations) << where;
+    EXPECT_EQ(a.restarts, b.restarts) << where;
+    EXPECT_EQ(a.learnt_clauses, b.learnt_clauses) << where;
+    EXPECT_EQ(a.deleted_clauses, b.deleted_clauses) << where;
+    EXPECT_EQ(a.xor_propagations, b.xor_propagations) << where;
+    EXPECT_EQ(a.vivified_literals, b.vivified_literals) << where;
+    EXPECT_EQ(a.vivified_clauses, b.vivified_clauses) << where;
+    EXPECT_EQ(a.vivify_passes, b.vivify_passes) << where;
+    EXPECT_EQ(a.reconf_decisions, b.reconf_decisions) << where;
+    EXPECT_EQ(a.db_reductions, b.db_reductions) << where;
+}
+
+/// A decorator that aggregates its attempts' counters must not drop any
+/// field: one attempt of `resilient:minisat` reports exactly what a bare
+/// `minisat` reports on the same instance, in-processing counters
+/// included.
+TEST(BackendStats, ResilientSingleAttemptMatchesBareBackend) {
+    const Cnf cnf = cnfgen::pigeonhole(7);
+    const auto bare = sat::solve_cnf_with(cnf, "minisat", -1, 5'000);
+    const auto wrapped =
+        sat::solve_cnf_with(cnf, "resilient:minisat,retries=0", -1, 5'000);
+    ASSERT_TRUE(bare.ok() && wrapped.ok());
+    ASSERT_GT(bare->stats.db_reductions, 0u)
+        << "the instance must exercise the tiered learnt DB";
+    EXPECT_EQ(wrapped->result, bare->result);
+    expect_stats_eq(wrapped->stats, bare->stats, "resilient:minisat");
+}
+
+/// The native in-loop backend is the bare solver behind the interface:
+/// over repeated assume + budgeted solve rounds it must agree with a
+/// `sat::Solver` driven directly -- verdict, model, every counter, and
+/// the learnt facts the loop harvests.
+class BackendTransparency : public ::testing::TestWithParam<bool> {};
+
+TEST_P(BackendTransparency, NativeBackendIsTheBareSolver) {
+    sat::Solver::Config cfg;
+    cfg.enable_xor = true;
+    if (!GetParam()) {
+        cfg.inprocess.enabled = false;
+        cfg.inprocess.profile = sat::inprocess::ProfileId::kFixed;
+    }
+
+    // Near the 3-SAT threshold: the rounds mix SAT, UNSAT-under-
+    // assumptions and budget-exhausted verdicts.
+    Rng rng(1);
+    const size_t nv = 150;
+    Cnf cnf = cnfgen::random_ksat(nv, 600, 3, rng);
+    for (int i = 0; i < 6; ++i) {
+        sat::XorConstraint x;
+        for (int j = 0; j < 3 + static_cast<int>(rng.below(3)); ++j)
+            x.vars.push_back(static_cast<sat::Var>(rng.below(nv)));
+        x.rhs = rng.coin();
+        cnf.xors.push_back(std::move(x));
+    }
+
+    sat::Solver bare(cfg);
+    const auto native = sat::make_native_backend(cfg);
+    EXPECT_EQ(native->name(), "native");
+    EXPECT_TRUE(native->supports_native_xor());
+    ASSERT_EQ(native->load(cnf), bare.load(cnf));
+
+    size_t decided = 0, undecided = 0;
+    for (int round = 0; round < 30; ++round) {
+        const std::string where = "round " + std::to_string(round);
+        std::vector<Lit> assumptions;
+        for (int k = 0; k < static_cast<int>(rng.below(4)); ++k)
+            assumptions.push_back(
+                mk_lit(static_cast<sat::Var>(rng.below(nv)), rng.coin()));
+        for (const Lit a : assumptions) native->assume(a);
+        const int64_t budget = 50 + 25 * round;
+        const sat::Result want = bare.solve_assuming(assumptions, budget);
+        const sat::Result got = native->solve(budget);
+        ASSERT_EQ(got, want) << where;
+        EXPECT_EQ(native->okay(), bare.okay()) << where;
+        if (got == sat::Result::kSat) {
+            for (sat::Var v = 0; v < nv; ++v) {
+                const bool bare_true = bare.model()[v] == LBool::kTrue;
+                ASSERT_EQ(native->value(v) == LBool::kTrue, bare_true)
+                    << where << " var " << v;
+            }
+        }
+        ++(got == sat::Result::kUnknown ? undecided : decided);
+        expect_stats_eq(native->stats(), bare.stats(), where);
+        EXPECT_EQ(native->learnt_units(), bare.learnt_units()) << where;
+        EXPECT_EQ(native->learnt_binaries(), bare.learnt_binaries()) << where;
+    }
+    EXPECT_GT(decided, 0u) << "some rounds must reach a verdict";
+    EXPECT_GT(undecided, 0u) << "some rounds must exhaust their budget";
+}
+
+INSTANTIATE_TEST_SUITE_P(Configs, BackendTransparency,
+                         ::testing::Values(true, false));
 
 // ---- re-plumbed consumers --------------------------------------------------
 

@@ -172,7 +172,7 @@ TEST(Pipeline, AnfInstanceBothModes) {
 
     for (const bool with : {false, true}) {
         PipelineConfig cfg;
-        cfg.solver = sat::SolverKind::kCmsLike;
+        cfg.solver = "cms";
         cfg.use_bosphorus = with;
         cfg.bosphorus = small_options();
         cfg.timeout_s = 30.0;
@@ -189,7 +189,7 @@ TEST(Pipeline, CnfInstanceBothModes) {
     const bool expect_sat = !testutil::cnf_models(cnf).empty();
     for (const bool with : {false, true}) {
         PipelineConfig cfg;
-        cfg.solver = sat::SolverKind::kMinisatLike;
+        cfg.solver = "minisat";
         cfg.use_bosphorus = with;
         cfg.bosphorus = small_options();
         cfg.timeout_s = 30.0;

@@ -4,11 +4,11 @@
 
 #include <stdexcept>
 
+#include "bosphorus/sat_backend.h"
 #include "core/anf_to_cnf.h"
 #include "core/cnf_to_anf.h"
 #include "crypto/aes_small.h"
 #include "crypto/gf2e.h"
-#include "sat/solve_cnf.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -63,11 +63,10 @@ TEST(ErrorPaths, SolveCnfOnContradictoryXors) {
     cnf.num_vars = 2;
     cnf.xors.push_back({{0, 1}, true});
     cnf.xors.push_back({{0, 1}, false});
-    for (const auto kind :
-         {sat::SolverKind::kMinisatLike, sat::SolverKind::kLingelingLike,
-          sat::SolverKind::kCmsLike}) {
-        EXPECT_EQ(sat::solve_cnf(cnf, kind).result, sat::Result::kUnsat)
-            << sat::solver_kind_name(kind);
+    for (const char* name : {"minisat", "lingeling", "cms"}) {
+        const auto out = sat::solve_cnf_with(cnf, name);
+        ASSERT_TRUE(out.ok()) << name;
+        EXPECT_EQ(out->result, sat::Result::kUnsat) << name;
     }
 }
 
@@ -75,23 +74,22 @@ TEST(ErrorPaths, SingleVariableXor) {
     sat::Cnf cnf;
     cnf.num_vars = 1;
     cnf.xors.push_back({{0}, true});  // x = 1
-    const auto out = sat::solve_cnf(cnf, sat::SolverKind::kCmsLike);
-    ASSERT_EQ(out.result, sat::Result::kSat);
-    EXPECT_EQ(out.model[0], sat::LBool::kTrue);
+    const auto out = sat::solve_cnf_with(cnf, "cms");
+    ASSERT_TRUE(out.ok());
+    ASSERT_EQ(out->result, sat::Result::kSat);
+    EXPECT_EQ(out->model[0], sat::LBool::kTrue);
 }
 
 TEST(ErrorPaths, EmptyXorRhsTrueIsUnsat) {
     sat::Cnf cnf;
     cnf.num_vars = 1;
     cnf.xors.push_back({{}, true});  // 0 = 1
-    EXPECT_EQ(sat::solve_cnf(cnf, sat::SolverKind::kCmsLike).result,
-              sat::Result::kUnsat);
+    EXPECT_EQ(sat::solve_cnf_with(cnf, "cms")->result, sat::Result::kUnsat);
     cnf.xors[0].rhs = false;  // 0 = 0: fine
     sat::Cnf ok;
     ok.num_vars = 1;
     ok.xors.push_back({{}, false});
-    EXPECT_EQ(sat::solve_cnf(ok, sat::SolverKind::kCmsLike).result,
-              sat::Result::kSat);
+    EXPECT_EQ(sat::solve_cnf_with(ok, "cms")->result, sat::Result::kSat);
 }
 
 TEST(ErrorPaths, DuplicateVarsInXorCancel) {
@@ -99,9 +97,10 @@ TEST(ErrorPaths, DuplicateVarsInXorCancel) {
     cnf.num_vars = 2;
     // x ^ x ^ y = 1 reduces to y = 1.
     cnf.xors.push_back({{0, 0, 1}, true});
-    const auto out = sat::solve_cnf(cnf, sat::SolverKind::kCmsLike);
-    ASSERT_EQ(out.result, sat::Result::kSat);
-    EXPECT_EQ(out.model[1], sat::LBool::kTrue);
+    const auto out = sat::solve_cnf_with(cnf, "cms");
+    ASSERT_TRUE(out.ok());
+    ASSERT_EQ(out->result, sat::Result::kSat);
+    EXPECT_EQ(out->model[1], sat::LBool::kTrue);
 }
 
 }  // namespace
@@ -123,8 +122,9 @@ TEST(TseitinExpander, VerdictMatchesBruteForce) {
 TEST(TseitinExpander, GjeSolverDecidesInstantly) {
     Rng rng(22);
     const auto cnf = cnfgen::tseitin_expander(40, false, rng);
-    const auto out = sat::solve_cnf(cnf, sat::SolverKind::kCmsLike, 10.0);
-    EXPECT_EQ(out.result, sat::Result::kUnsat)
+    const auto out = sat::solve_cnf_with(cnf, "cms", 10.0);
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(out->result, sat::Result::kUnsat)
         << "XOR recovery + level-0 GJE must refute the odd-charged Tseitin "
            "formula";
 }

@@ -367,18 +367,11 @@ TEST(Solve, LegacyEntryPointsAgreeWithFacade) {
 
 TEST(Solve, DefaultSolverMatchesCliDocumentation) {
     // The CLI usage text promises `--solver` defaults to cms; the config
-    // structs must agree with the name the CLI would parse.
-    const auto parsed = sat::solver_kind_from_name(sat::kDefaultSolverName);
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, sat::SolverKind::kCmsLike);
-    EXPECT_EQ(core::PipelineConfig{}.solver, *parsed);
-    EXPECT_EQ(SolveConfig{}.solver, *parsed);
-}
-
-TEST(Solve, UnknownSolverNameIsInvalidArgument) {
-    const auto parsed = sat::solver_kind_from_name("kissat");
-    ASSERT_FALSE(parsed.ok());
-    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    // structs must agree with it and name a registered backend.
+    EXPECT_STREQ(sat::kDefaultSolverName, "cms");
+    EXPECT_TRUE(sat::BackendRegistry::global().contains(sat::kDefaultSolverName));
+    EXPECT_EQ(core::PipelineConfig{}.solver.spec, sat::kDefaultSolverName);
+    EXPECT_EQ(SolveConfig{}.solver.spec, sat::kDefaultSolverName);
 }
 
 TEST(Par2Score, SolvedUnsolvedMixAndEmptySet) {

@@ -4,13 +4,13 @@
 #include <gtest/gtest.h>
 
 #include "anf/anf_parser.h"
+#include "bosphorus/sat_backend.h"
 #include "cnfgen/generators.h"
 #include "core/bosphorus.h"
 #include "core/pipeline.h"
 #include "crypto/sha256.h"
 #include "crypto/simon.h"
 #include "sat/preprocess.h"
-#include "sat/solve_cnf.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -37,12 +37,13 @@ TEST(Integration, BitcoinNonceRecoveredAndReverified) {
         solution = res.solution;
     } else {
         ASSERT_NE(res.status, sat::Result::kUnsat);
-        const auto so = sat::solve_cnf(res.processed_cnf.cnf,
-                                       sat::SolverKind::kCmsLike, 60.0);
-        ASSERT_EQ(so.result, sat::Result::kSat);
+        const auto so =
+            sat::solve_cnf_with(res.processed_cnf.cnf, "cms", 60.0);
+        ASSERT_TRUE(so.ok());
+        ASSERT_EQ(so->result, sat::Result::kSat);
         solution.resize(inst.num_vars);
         for (size_t v = 0; v < inst.num_vars; ++v)
-            solution[v] = so.model[v] == sat::LBool::kTrue;
+            solution[v] = so->model[v] == sat::LBool::kTrue;
     }
 
     uint32_t nonce = 0;
@@ -64,7 +65,7 @@ TEST(Integration, SimonSolutionSatisfiesAllPairs) {
     Rng rng(77);
     const auto inst = simon.encode(4, rng);
     core::PipelineConfig cfg;
-    cfg.solver = sat::SolverKind::kCmsLike;
+    cfg.solver = "cms";
     cfg.use_bosphorus = true;
     cfg.bosphorus.xl.m_budget = 20;
     cfg.bosphorus.elimlin.m_budget = 20;
@@ -141,13 +142,13 @@ TEST(SolverStress, ReduceDbKeepsCorrectness) {
     Rng rng(13);
     for (int i = 0; i < 3; ++i) {
         const sat::Cnf cnf = cnfgen::random_ksat(60, 258, 3, rng);
-        const bool expect_sat =
-            sat::solve_cnf(cnf, sat::SolverKind::kLingelingLike).result ==
-            sat::Result::kSat;
-        const auto out = sat::solve_cnf(cnf, sat::SolverKind::kMinisatLike);
-        EXPECT_EQ(out.result == sat::Result::kSat, expect_sat);
-        if (out.result == sat::Result::kSat)
-            EXPECT_TRUE(sat::model_satisfies(cnf, out.model));
+        const auto ref = sat::solve_cnf_with(cnf, "lingeling");
+        const auto out = sat::solve_cnf_with(cnf, "minisat");
+        ASSERT_TRUE(ref.ok() && out.ok());
+        EXPECT_EQ(out->result == sat::Result::kSat,
+                  ref->result == sat::Result::kSat);
+        if (out->result == sat::Result::kSat)
+            EXPECT_TRUE(sat::model_satisfies(cnf, out->model));
     }
 }
 

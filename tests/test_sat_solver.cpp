@@ -5,10 +5,10 @@
 #include <algorithm>
 #include <sstream>
 
+#include "bosphorus/sat_backend.h"
 #include "cnfgen/generators.h"
 #include "sat/dimacs.h"
 #include "sat/preprocess.h"
-#include "sat/solve_cnf.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -374,15 +374,13 @@ TEST_P(SolverRandom, AllKindsAgree) {
     const size_t nv = 5 + rng.below(6);
     const Cnf cnf = cnfgen::random_ksat(nv, nv * 4 + rng.below(nv), 3, rng);
     const bool expect_sat = !cnf_models(cnf).empty();
-    for (const SolverKind kind :
-         {SolverKind::kMinisatLike, SolverKind::kLingelingLike,
-          SolverKind::kCmsLike}) {
-        const CnfSolveOutcome out = solve_cnf(cnf, kind);
-        EXPECT_EQ(out.result, expect_sat ? Result::kSat : Result::kUnsat)
-            << solver_kind_name(kind);
-        if (out.result == Result::kSat) {
-            EXPECT_TRUE(model_satisfies(cnf, out.model))
-                << solver_kind_name(kind);
+    for (const char* name : {"minisat", "lingeling", "cms"}) {
+        const auto out = solve_cnf_with(cnf, name);
+        ASSERT_TRUE(out.ok()) << name;
+        EXPECT_EQ(out->result, expect_sat ? Result::kSat : Result::kUnsat)
+            << name;
+        if (out->result == Result::kSat) {
+            EXPECT_TRUE(model_satisfies(cnf, out->model)) << name;
         }
     }
 }
@@ -392,15 +390,14 @@ TEST_P(SolverRandom, XorRichInstancesAllKinds) {
     const size_t len = 6 + rng.below(10);
     const bool satisfiable = rng.coin();
     const Cnf cnf = cnfgen::xor_cycle(len, satisfiable, rng);
-    for (const SolverKind kind :
-         {SolverKind::kMinisatLike, SolverKind::kLingelingLike,
-          SolverKind::kCmsLike}) {
-        const CnfSolveOutcome out = solve_cnf(cnf, kind);
-        EXPECT_EQ(out.result,
+    for (const char* name : {"minisat", "lingeling", "cms"}) {
+        const auto out = solve_cnf_with(cnf, name);
+        ASSERT_TRUE(out.ok()) << name;
+        EXPECT_EQ(out->result,
                   satisfiable ? Result::kSat : Result::kUnsat)
-            << solver_kind_name(kind) << " len=" << len;
-        if (out.result == Result::kSat)
-            EXPECT_TRUE(model_satisfies(cnf, out.model));
+            << name << " len=" << len;
+        if (out->result == Result::kSat)
+            EXPECT_TRUE(model_satisfies(cnf, out->model));
     }
 }
 
