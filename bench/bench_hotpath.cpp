@@ -230,7 +230,8 @@ HotOutcome run_hot_pipeline(const SystemDesc& desc, const HotKnobs& knobs) {
         for (size_t li = 0; li < pending.size(); ++li) {
             const Poly l = pending[li];
             if (l.is_zero() || l.degree() < 1) continue;
-            // Rarest-variable heuristic, exactly as core::run_elimlin.
+            // Rarest-variable heuristic: same choice as core::run_elimlin
+            // (which keeps the counts incrementally).
             const std::vector<Var> cand = l.variables();
             Var best = cand[0];
             size_t best_count = SIZE_MAX;

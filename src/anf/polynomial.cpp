@@ -123,19 +123,17 @@ bool Polynomial::evaluate(const std::vector<bool>& assignment) const {
 }
 
 Polynomial Polynomial::substitute(Var v, const Polynomial& by) const {
-    Polynomial untouched;   // monomials not involving v (already canonical)
-    Polynomial quotients;   // sum of m / v for monomials m containing v
-    std::vector<Monomial> untouched_list, quotient_list;
+    Polynomial untouched;   // monomials not involving v
+    std::vector<Monomial> quotient_list;  // m / v for monomials m containing v
     for (const auto& m : monos_) {
         if (m.contains(v)) {
             quotient_list.push_back(m.without(v));
         } else {
-            untouched_list.push_back(m);
+            // A subsequence of a canonical list is canonical: no re-sort.
+            untouched.monos_.push_back(m);
         }
     }
-    untouched = Polynomial(std::move(untouched_list));
-    quotients = Polynomial(std::move(quotient_list));
-    return untouched + quotients * by;
+    return untouched + Polynomial(std::move(quotient_list)) * by;
 }
 
 std::string Polynomial::to_string() const {

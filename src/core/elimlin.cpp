@@ -1,6 +1,7 @@
 #include "core/elimlin.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <unordered_set>
 
 #include "core/linearize.h"
@@ -9,6 +10,70 @@ namespace bosphorus::core {
 
 using anf::Polynomial;
 using anf::Var;
+
+namespace {
+
+// Occurrence index for one eliminate-substitute round (the occurrence-list
+// optimisation of paper section III-B, kept incrementally). A slot names a
+// polynomial: work[s] for s < work.size(), else pending[s - work.size()].
+// count(v) is exact: the number of live slots whose polynomial contains v.
+// A slot list may be stale -- a substitution can cancel v out of a listed
+// polynomial, or list a slot twice when v later reappears -- so whoever
+// visits a list re-checks contains_var. Both tables are indexed by variable
+// id, like AnfSystem's occurrence lists, and reused across rounds.
+class OccurrenceIndex {
+public:
+    void clear() {
+        std::fill(count_.begin(), count_.end(), 0);
+        for (auto& l : slots_) l.clear();
+    }
+
+    void add(const std::vector<Var>& vars, uint32_t slot) {
+        for (Var v : vars) enter(v, slot);
+    }
+
+    void remove(const std::vector<Var>& vars) {
+        for (Var v : vars) --count_[v];
+    }
+
+    /// The polynomial in `slot` changed from variables `before` to `after`
+    /// (both sorted).
+    void update(const std::vector<Var>& before, const std::vector<Var>& after,
+                uint32_t slot) {
+        size_t i = 0, j = 0;
+        while (i < before.size() || j < after.size()) {
+            if (j == after.size() ||
+                (i < before.size() && before[i] < after[j])) {
+                --count_[before[i++]];
+            } else if (i == before.size() || after[j] < before[i]) {
+                enter(after[j++], slot);
+            } else {
+                ++i;
+                ++j;
+            }
+        }
+    }
+
+    size_t count(Var v) const { return count_[v]; }
+
+    /// Hand over v's slot list; v is being eliminated and never reappears.
+    std::vector<uint32_t> take(Var v) { return std::move(slots_[v]); }
+
+private:
+    void enter(Var v, uint32_t slot) {
+        if (v >= count_.size()) {
+            count_.resize(size_t{v} + 1, 0);
+            slots_.resize(size_t{v} + 1);
+        }
+        ++count_[v];
+        slots_[v].push_back(slot);
+    }
+
+    std::vector<uint32_t> count_;
+    std::vector<std::vector<uint32_t>> slots_;
+};
+
+}  // namespace
 
 std::vector<Polynomial> run_elimlin(const std::vector<Polynomial>& system,
                                     const ElimLinConfig& cfg, Rng& rng,
@@ -29,6 +94,7 @@ std::vector<Polynomial> run_elimlin(const std::vector<Polynomial>& system,
     std::unordered_set<Polynomial, anf::PolynomialHash> fact_set;
     size_t iterations = 0;
     size_t eliminated = 0;
+    OccurrenceIndex index;
 
     auto add_fact = [&](const Polynomial& p) {
         if (p.is_zero()) return;
@@ -70,10 +136,20 @@ std::vector<Polynomial> run_elimlin(const std::vector<Polynomial>& system,
         // Step (3): eliminate one variable per linear equation by
         // substitution into the linear-free remainder.
         work = std::move(nonlinear);
-        std::vector<Polynomial> pending(linear.begin(), linear.end());
+        std::vector<Polynomial> pending = std::move(linear);
+        const size_t n_work = work.size();
+        index.clear();
+        for (size_t s = 0; s < n_work; ++s)
+            index.add(work[s].variables(), static_cast<uint32_t>(s));
+        for (size_t lj = 0; lj < pending.size(); ++lj)
+            index.add(pending[lj].variables(),
+                      static_cast<uint32_t>(n_work + lj));
         for (size_t li = 0; li < pending.size(); ++li) {
             if (cancel.cancelled()) break;  // substitution sub-boundary
-            Polynomial l = pending[li];
+            const Polynomial& l = pending[li];  // never rewritten below
+            // From here on the index covers work and pending[li+1..].
+            const std::vector<Var> cand = l.variables();
+            index.remove(cand);
             if (l.is_zero()) continue;
             if (l.is_one()) {
                 facts.clear();
@@ -81,29 +157,26 @@ std::vector<Polynomial> run_elimlin(const std::vector<Polynomial>& system,
                 return facts;
             }
             if (l.degree() < 1) continue;
-            // Count occurrences of each candidate variable in the remaining
-            // system; pick the rarest (paper's heuristic).
-            std::vector<Var> cand = l.variables();
+            // Pick the candidate occurring in the fewest remaining
+            // polynomials (paper's heuristic; first minimum on ties).
             Var best = cand[0];
             size_t best_count = SIZE_MAX;
             for (Var v : cand) {
-                size_t count = 0;
-                for (const auto& q : work) count += q.contains_var(v);
-                for (size_t lj = li + 1; lj < pending.size(); ++lj)
-                    count += pending[lj].contains_var(v);
-                if (count < best_count) {
+                if (index.count(v) < best_count) {
                     best = v;
-                    best_count = count;
+                    best_count = index.count(v);
                 }
             }
-            // l = best + rest  =>  best := rest.
-            Polynomial rest = l + Polynomial::variable(best);
-            for (auto& q : work) {
-                if (q.contains_var(best)) q = q.substitute(best, rest);
-            }
-            for (size_t lj = li + 1; lj < pending.size(); ++lj) {
-                if (pending[lj].contains_var(best))
-                    pending[lj] = pending[lj].substitute(best, rest);
+            // l = best + rest  =>  best := rest, in every listed polynomial
+            // that still contains best; pending[..li] is already consumed.
+            const Polynomial rest = l + Polynomial::variable(best);
+            for (uint32_t s : index.take(best)) {
+                if (s >= n_work && s - n_work <= li) continue;
+                Polynomial& q = s < n_work ? work[s] : pending[s - n_work];
+                if (!q.contains_var(best)) continue;
+                const std::vector<Var> before = q.variables();
+                q = q.substitute(best, rest);
+                index.update(before, q.variables(), s);
             }
             ++eliminated;
         }

@@ -192,6 +192,28 @@ TEST_P(PolynomialRandom, SubstitutionCommutesWithEvaluation) {
     }
 }
 
+// substitute() keeps the untouched monomials as they are, without
+// re-sorting; the result must still equal the fully canonicalised sum.
+TEST_P(PolynomialRandom, SubstituteMatchesCanonicalisedReference) {
+    Rng rng(GetParam() + 1000);
+    const unsigned nv = 6;
+    const Polynomial p = random_poly(rng, nv, 10, 3);
+    const Polynomial by = random_poly(rng, nv, 4, 2);
+    for (Var v = 0; v < nv; ++v) {
+        std::vector<Monomial> untouched, quotients;
+        for (const Monomial& m : p.monomials()) {
+            if (m.contains(v)) {
+                quotients.push_back(m.without(v));
+            } else {
+                untouched.push_back(m);
+            }
+        }
+        EXPECT_EQ(p.substitute(v, by),
+                  Polynomial(untouched) + Polynomial(quotients) * by)
+            << p.to_string() << " with x" << v + 1 << " := " << by.to_string();
+    }
+}
+
 TEST_P(PolynomialRandom, RingAxioms) {
     Rng rng(GetParam() + 500);
     const unsigned nv = 5;
