@@ -14,9 +14,12 @@
 // legacy/interned per repetition so drift cancels.
 //
 // Output: JSON to stdout and BENCH_hotpath.json (override with
-// BENCH_JSON_OUT). `speedup_terms_per_sec` (interned vs legacy) is the
+// BENCH_JSON_OUT). `speedup_terms_per_sec` (interned vs legacy) is a
 // machine-independent number the CI bench smoke job guards against
-// regression. Pass --legacy-terms to time only the legacy arm.
+// regression. The other is `elim_kernel_over_plain`: plain Gauss-Jordan
+// time over Matrix::rref_m4r() time on the interned arm's linearised
+// matrices (both must reduce to the same matrix, or the harness exits
+// nonzero). Pass --legacy-terms to time only the legacy arm.
 //
 // Knobs (defaults tuned so the term algebra, not the shared GF(2)
 // elimination, dominates the measurement): BENCH_HOT_INSTANCES (6),
@@ -87,8 +90,12 @@ struct MonoHashOf {
 // unordered-container iteration leaks (sets are membership/size only, the
 // column list is sorted before use) -- so the two instantiations must
 // produce identical facts.
+// `matrices`, if non-null, receives a copy of every linearised matrix
+// before its reduction.
 template <class Poly, class Mono>
-HotOutcome run_hot_pipeline(const SystemDesc& desc, const HotKnobs& knobs) {
+HotOutcome run_hot_pipeline(
+    const SystemDesc& desc, const HotKnobs& knobs,
+    std::vector<bosphorus::gf2::Matrix>* matrices = nullptr) {
     HotOutcome out;
 
     std::vector<Poly> system;
@@ -107,7 +114,7 @@ HotOutcome run_hot_pipeline(const SystemDesc& desc, const HotKnobs& knobs) {
         std::vector<Poly> linear, nonlinear;
         bool contradiction = false;
     };
-    auto linear_pass = [&out](const std::vector<Poly>& polys) {
+    auto linear_pass = [&out, matrices](const std::vector<Poly>& polys) {
         Reduced red;
         std::unordered_set<Mono, MonoHashOf<Mono>> seen;
         std::vector<Mono> cols;
@@ -129,12 +136,8 @@ HotOutcome run_hot_pipeline(const SystemDesc& desc, const HotKnobs& knobs) {
                 ++out.terms;
             }
         }
-        if (mat.rows() < 16 || mat.cols() < 16) {
-            std::vector<size_t> pivots;
-            mat.rref(&pivots);
-        } else {
-            mat.rref_m4r();
-        }
+        if (matrices) matrices->push_back(mat);
+        mat.rref_m4r();
 
         for (size_t r = 0; r < mat.rows(); ++r) {
             if (mat.row_is_zero(r)) continue;
@@ -385,6 +388,34 @@ int main(int argc, char** argv) {
     for (const auto& o : interned_ref) interned.facts += o.facts.size();
     for (const auto& o : legacy_ref) legacy.facts += o.facts.size();
 
+    // ---- the elimination kernel vs plain Gauss-Jordan on the interned
+    // arm's linearised matrices (collected by one extra, untimed pass),
+    // alternating per matrix, 10 passes per repetition (one pass takes
+    // about a millisecond). Both must reduce to the same matrix.
+    double kernel_s = 0.0, plain_s = 0.0;
+    bool elim_identical = true;
+    if (!legacy_only) {
+        std::vector<bosphorus::gf2::Matrix> matrices;
+        for (size_t i = 0; i < instances; ++i)
+            run_hot_pipeline<IPoly, IMono>(descs[i], knobs, &matrices);
+        for (size_t rep = 0; rep < 10 * reps; ++rep) {
+            for (const auto& base : matrices) {
+                bosphorus::gf2::Matrix kernel = base, plain = base;
+                Timer tk;
+                kernel.rref_m4r();
+                kernel_s += tk.seconds();
+                std::vector<size_t> pivots;
+                Timer tp;
+                plain.rref(&pivots);
+                plain_s += tp.seconds();
+                elim_identical = elim_identical && kernel == plain;
+            }
+        }
+        if (!elim_identical)
+            std::fprintf(stderr, "kernel and plain rref reduced differently\n");
+    }
+    const double kernel_over_plain = kernel_s > 0 ? plain_s / kernel_s : 0.0;
+
     // ---- equivalence: facts and derived verdicts must be bit-identical.
     bool facts_identical = true;
     bool verdicts_identical = true;
@@ -463,6 +494,10 @@ int main(int argc, char** argv) {
             legacy.terms_per_sec(), legacy.facts);
     }
     add("  \"speedup_terms_per_sec\": %.3f,\n", speedup);
+    add("  \"elim\": {\"kernel_seconds\": %.4f, \"plain_seconds\": %.4f, "
+        "\"identical\": %s},\n",
+        kernel_s, plain_s, elim_identical ? "true" : "false");
+    add("  \"elim_kernel_over_plain\": %.3f,\n", kernel_over_plain);
     add("  \"facts_identical\": %s,\n  \"verdicts_identical\": %s,\n",
         facts_identical ? "true" : "false",
         verdicts_identical ? "true" : "false");
@@ -477,5 +512,5 @@ int main(int argc, char** argv) {
     if (std::ofstream out{json_path}) out << json;
     else std::fprintf(stderr, "warning: cannot write %s\n", json_path);
 
-    return (facts_identical && verdicts_identical) ? 0 : 1;
+    return (facts_identical && verdicts_identical && elim_identical) ? 0 : 1;
 }

@@ -7,6 +7,8 @@
 #include "anf/polynomial.h"
 #include "cnfgen/generators.h"
 #include "core/linearize.h"
+#include "core/xl.h"
+#include "crypto/aes_small.h"
 #include "crypto/simon.h"
 #include "gf2/gf2_matrix.h"
 #include "minimize/quine_mccluskey.h"
@@ -40,6 +42,30 @@ static void BM_Gf2RrefM4R(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_Gf2RrefM4R)->Arg(64)->Arg(256)->Arg(1024);
+
+// The matrices the elimination actually serves: XL's linearisation of a
+// seeded SR(2,2,2,4) instance (~3300 x 5100, a few ones per row, still
+// sparse once reduced). Arg 1 runs the kernel, arg 0 plain Gauss-Jordan.
+static void BM_Gf2RrefSparseSr(benchmark::State& state) {
+    Rng rng(2024);
+    const auto sr =
+        crypto::SmallScaleAes({2, 2, 2, 4}).random_instance(rng).polys;
+    core::XlConfig cfg;
+    cfg.m_budget = 20;
+    Rng xl_rng(7);
+    const gf2::Matrix base =
+        core::linearize(core::expand_xl(sr, cfg, xl_rng)).matrix;
+    for (auto _ : state) {
+        gf2::Matrix m = base;
+        if (state.range(0)) {
+            benchmark::DoNotOptimize(m.rref_m4r(8));
+        } else {
+            std::vector<size_t> pivots;
+            benchmark::DoNotOptimize(m.rref(&pivots));
+        }
+    }
+}
+BENCHMARK(BM_Gf2RrefSparseSr)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
 static void BM_Gf2Nullspace(benchmark::State& state) {
     const size_t n = state.range(0);

@@ -204,20 +204,4 @@ MonomialStore::Stats MonomialStore::stats() const {
     return s;
 }
 
-std::shared_ptr<const std::vector<uint32_t>> MonomialStore::ranks() {
-    std::lock_guard<std::mutex> lk(mu_);
-    const uint32_t n = count_.load(std::memory_order_relaxed);
-    if (ranks_cache_ && ranks_epoch_ == n) return ranks_cache_;
-
-    std::vector<MonoId> order(n);
-    for (uint32_t i = 0; i < n; ++i) order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [this](MonoId a, MonoId b) { return compare(a, b) < 0; });
-    auto ranks = std::make_shared<std::vector<uint32_t>>(n);
-    for (uint32_t r = 0; r < n; ++r) (*ranks)[order[r]] = r;
-    ranks_cache_ = std::move(ranks);
-    ranks_epoch_ = n;
-    return ranks_cache_;
-}
-
 }  // namespace bosphorus::anf

@@ -19,12 +19,12 @@
 //    cached, unreferenced vocabulary.
 //  - Raw id VALUES are history-dependent (they depend on what was interned
 //    first) and must never influence observable output. All ordering goes
-//    through less()/compare()/ranks() (deg-lex on content) and all hashing
+//    through less()/compare() (deg-lex on content) and all hashing
 //    through hash() (content hash, identical to the pre-interning
 //    Monomial::hash), so results are bit-identical regardless of store
 //    history.
 //
-// Thread safety: intern/mul/quotient/without/ranks take an internal mutex;
+// Thread safety: intern/mul/quotient/without take an internal mutex;
 // vars/degree/hash/less/compare/divides are lock-free reads. A lock-free
 // read of id X is safe on any thread that obtained X through a
 // happens-before edge with the interning thread (same thread, or a handoff
@@ -150,16 +150,6 @@ public:
     /// The monomial with variable v removed. Precondition: contains(id, v).
     MonoId without(MonoId id, Var v);
 
-    // ---- bulk ordering ---------------------------------------------------
-
-    /// A dense deg-lex rank table over every id interned so far:
-    /// (*ranks())[id] < (*ranks())[id2]  <=>  less(id, id2). Rebuilt (and
-    /// cached until the next intern) on demand; the returned snapshot stays
-    /// valid and self-consistent even if other threads keep interning, it
-    /// just does not cover ids newer than itself. Rank VALUES change as the
-    /// vocabulary grows; only their relative order is meaningful.
-    std::shared_ptr<const std::vector<uint32_t>> ranks();
-
     // ---- introspection ---------------------------------------------------
 
     /// Number of distinct monomials interned so far.
@@ -241,10 +231,6 @@ private:
     std::unordered_map<uint64_t, MonoId> mul_memo_;
     std::atomic<size_t> memo_hits_{0};
     std::atomic<size_t> memo_misses_{0};
-
-    // deg-lex rank snapshot, rebuilt when stale, under mu_.
-    std::shared_ptr<const std::vector<uint32_t>> ranks_cache_;
-    uint32_t ranks_epoch_ = 0;  // count_ value the cache was built at
 
     std::vector<Var> scratch_;  // union/difference buffer, under mu_
 };

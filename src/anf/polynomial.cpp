@@ -1,6 +1,7 @@
 #include "anf/polynomial.h"
 
 #include <algorithm>
+#include <cassert>
 #include <unordered_set>
 
 namespace bosphorus::anf {
@@ -8,6 +9,16 @@ namespace bosphorus::anf {
 Polynomial::Polynomial(std::vector<Monomial> monomials)
     : monos_(std::move(monomials)) {
     canonicalise();
+}
+
+Polynomial Polynomial::from_sorted(std::vector<Monomial> monomials) {
+    assert(std::adjacent_find(monomials.begin(), monomials.end(),
+                              [](const Monomial& a, const Monomial& b) {
+                                  return !(a < b);
+                              }) == monomials.end());
+    Polynomial p;
+    p.monos_ = std::move(monomials);
+    return p;
 }
 
 void Polynomial::canonicalise() {

@@ -30,6 +30,11 @@ public:
     /// From a list of monomials; canonicalises (sorts, cancels pairs).
     explicit Polynomial(std::vector<Monomial> monomials);
 
+    /// From monomials already in canonical order (strictly ascending
+    /// deg-lex, so no duplicates): no sort, no cancellation pass. Debug
+    /// builds assert the order.
+    static Polynomial from_sorted(std::vector<Monomial> monomials);
+
     /// The constant polynomial 0 or 1.
     static Polynomial constant(bool one) {
         return one ? Polynomial(Monomial{}) : Polynomial();

@@ -104,9 +104,9 @@ std::vector<Polynomial> run_elimlin(const std::vector<Polynomial>& system,
     for (; iterations < cfg.max_iterations; ++iterations) {
         // Cancellation boundary: one eliminate-substitute round.
         if (cancel.cancelled()) break;
-        // Step (1): GJE on the linearisation (M4R by default).
+        // Step (1): GJE on the linearisation.
         Linearization lin = linearize(work);
-        reduce(lin, cfg.use_m4r);
+        reduce(lin);
 
         // Step (2): gather linear equations from the reduced rows.
         std::vector<Polynomial> linear;

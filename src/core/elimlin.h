@@ -20,8 +20,6 @@ namespace bosphorus::core {
 struct ElimLinConfig {
     unsigned m_budget = 30;  ///< M: subsample until m'*n' >= 2^M
     unsigned max_iterations = 64;
-    /// Eliminate with the Method of Four Russians (see XlConfig::use_m4r).
-    bool use_m4r = true;
 };
 
 struct ElimLinStats {

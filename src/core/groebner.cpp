@@ -82,9 +82,9 @@ std::vector<Polynomial> run_groebner(const std::vector<Polynomial>& system,
         if (pairs == 0) break;
 
         // F4-style simultaneous reduction: one Gauss-Jordan elimination
-        // over the linearisation of basis + S-polynomials (M4R by default).
+        // over the linearisation of basis + S-polynomials.
         Linearization lin = linearize(batch);
-        reduce(lin, cfg.use_m4r);
+        reduce(lin);
 
         bool contradiction = false;
         std::vector<Polynomial> next_basis;

@@ -32,8 +32,6 @@ struct GroebnerConfig {
     size_t max_basis = 4096;       ///< cap on tracked basis polynomials
     size_t max_pairs = 20'000;     ///< cap on S-pairs per round
     unsigned m_budget = 20;        ///< subsample budget 2^M (like XL/ElimLin)
-    /// Eliminate with the Method of Four Russians (see XlConfig::use_m4r).
-    bool use_m4r = true;
 };
 
 struct GroebnerStats {

@@ -1,58 +1,41 @@
 #include "core/linearize.h"
 
 #include <algorithm>
+#include <bit>
 #include <unordered_set>
-
-#include "anf/monomial_store.h"
 
 namespace bosphorus::core {
 
 using anf::MonoId;
 using anf::Monomial;
-using anf::MonomialStore;
 using anf::Polynomial;
 
 Linearization linearize(const std::vector<Polynomial>& polys) {
     Linearization lin;
 
-    // Gather every term, sort descending deg-lex, dedup: memory stays
-    // O(system terms) however large the global interned vocabulary has
-    // grown (a flat vector indexed by raw MonoId would be O(max id) --
-    // unbounded in a long-lived Session), and the sort compares 4-byte
-    // ids, not variable vectors.
+    // Gather every term and de-duplicate by 4-byte id; then sort only the
+    // distinct monomials by content, descending deg-lex (highest-degree
+    // monomials in the leftmost columns). Memory stays O(system terms)
+    // however large the global interned vocabulary has grown.
+    std::vector<Monomial>& cols = lin.col_monomial;
     size_t total_terms = 0;
     for (const auto& p : polys) total_terms += p.size();
-    lin.col_monomial.reserve(total_terms);
-    for (const auto& p : polys) {
-        for (const auto& m : p.monomials()) lin.col_monomial.push_back(m);
-    }
+    cols.reserve(total_terms);
+    for (const auto& p : polys)
+        cols.insert(cols.end(), p.monomials().begin(), p.monomials().end());
+    std::sort(cols.begin(), cols.end(),
+              [](const Monomial& a, const Monomial& b) {
+                  return a.id() < b.id();
+              });
+    cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+    std::sort(cols.begin(), cols.end(),
+              [](const Monomial& a, const Monomial& b) { return b < a; });
 
-    // Descending deg-lex: highest-degree monomials in the leftmost
-    // columns. When the term list is a sizeable slice of the interned
-    // vocabulary, compare by the store's precomputed dense deg-lex ranks
-    // (O(1) per compare); otherwise plain content compares win -- both
-    // produce the identical order.
-    MonomialStore& store = MonomialStore::global();
-    if (lin.col_monomial.size() * 16 >= store.size()) {
-        const auto ranks = store.ranks();
-        std::sort(lin.col_monomial.begin(), lin.col_monomial.end(),
-                  [&ranks](const Monomial& a, const Monomial& b) {
-                      return (*ranks)[a.id()] > (*ranks)[b.id()];
-                  });
-    } else {
-        std::sort(lin.col_monomial.begin(), lin.col_monomial.end(),
-                  [](const Monomial& a, const Monomial& b) { return b < a; });
-    }
-    lin.col_monomial.erase(
-        std::unique(lin.col_monomial.begin(), lin.col_monomial.end()),
-        lin.col_monomial.end());
+    lin.col_index.reserve(cols.size());
+    for (size_t c = 0; c < cols.size(); ++c)
+        lin.col_index.emplace(cols[c].id(), static_cast<uint32_t>(c));
 
-    lin.col_index.reserve(lin.col_monomial.size());
-    for (size_t c = 0; c < lin.col_monomial.size(); ++c)
-        lin.col_index.emplace(lin.col_monomial[c].id(),
-                              static_cast<uint32_t>(c));
-
-    lin.matrix = gf2::Matrix(polys.size(), lin.col_monomial.size());
+    lin.matrix = gf2::Matrix(polys.size(), cols.size());
     for (size_t r = 0; r < polys.size(); ++r) {
         for (const auto& m : polys[r].monomials())
             lin.matrix.flip(r, lin.col_index.find(m.id())->second);
@@ -60,41 +43,43 @@ Linearization linearize(const std::vector<Polynomial>& polys) {
     return lin;
 }
 
-size_t reduce(Linearization& lin, bool use_m4r) {
-    // Tiny matrices gain nothing from the 2^k table setup; keep them on
-    // the plain path even when M4R is requested.
-    if (!use_m4r || lin.rows() < 16 || lin.cols() < 16) {
-        // Requesting pivot columns pins rref() to plain Gauss-Jordan
-        // (its no-argument form auto-dispatches big matrices to M4R,
-        // which would make the use_m4r=false path a silent no-op).
-        std::vector<size_t> pivots;
-        return lin.matrix.rref(&pivots);
-    }
-    return lin.matrix.rref_m4r();
-}
+size_t reduce(Linearization& lin) { return lin.matrix.rref_m4r(); }
 
 Polynomial row_to_polynomial(const Linearization& lin, size_t row) {
+    // Columns run in descending deg-lex order, so the set bits read from
+    // the last column down are already in canonical (ascending) order.
+    const uint64_t* words = lin.matrix.row_words(row);
     std::vector<Monomial> monos;
-    for (size_t c = 0; c < lin.cols(); ++c) {
-        if (lin.matrix.get(row, c)) monos.push_back(lin.col_monomial[c]);
+    monos.reserve(lin.matrix.row_popcount(row));
+    for (size_t w = lin.matrix.words_per_row(); w-- > 0;) {
+        for (uint64_t x = words[w]; x != 0;) {
+            const int b = 63 - std::countl_zero(x);
+            monos.push_back(lin.col_monomial[w * 64 + b]);
+            x ^= uint64_t{1} << b;
+        }
     }
-    return Polynomial(std::move(monos));
+    return Polynomial::from_sorted(std::move(monos));
 }
 
 std::vector<Polynomial> extract_facts(const Linearization& lin) {
+    // Classify each row before building it: its first set column holds
+    // the leading (highest) monomial, which gives the degree.
+    const size_t n = lin.cols();
+    const bool const_col = n > 0 && lin.col_monomial.back().is_one();
     std::vector<Polynomial> facts;
     for (size_t r = 0; r < lin.rows(); ++r) {
-        if (lin.matrix.row_is_zero(r)) continue;
-        const Polynomial p = row_to_polynomial(lin, r);
-        if (p.is_one()) {
-            // 1 = 0: contradiction -- dominates everything else.
+        const long lead = lin.matrix.first_set_in_row(r);
+        if (lead < 0) continue;
+        const size_t degree = lin.col_monomial[lead].degree();
+        if (degree == 0) {
+            // The row is the constant 1: 1 = 0 dominates everything else.
             return {Polynomial::constant(true)};
         }
-        const bool is_linear = p.degree() <= 1;
-        const bool is_monomial_fact = p.size() == 2 &&
-                                      p.has_constant_term() &&
-                                      p.degree() >= 2;
-        if (is_linear || is_monomial_fact) facts.push_back(p);
+        // Beyond linear rows, keep only monomial + 1.
+        if (degree >= 2 && !(const_col && lin.matrix.get(r, n - 1) &&
+                             lin.matrix.row_popcount(r) == 2))
+            continue;
+        facts.push_back(row_to_polynomial(lin, r));
     }
     return facts;
 }

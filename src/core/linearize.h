@@ -11,12 +11,17 @@
 // retained rows of Table I come out as linear and monomial facts.
 //
 // The monomial -> column map is keyed by the interned 4-byte MonoId (the
-// old map hashed whole variable vectors per term), and the column sort
-// runs on the store's precomputed deg-lex ranks when the column set is a
-// large fraction of the interned vocabulary. All structures are sized by
-// the system's own term count, never by the global store -- a long-lived
-// Session can intern millions of monomials without inflating later
-// linearisations.
+// old map hashed whole variable vectors per term). The terms are
+// de-duplicated by id first, so the deg-lex content sort runs only over the
+// distinct monomials. All structures are sized by the system's own term
+// count, never by the global store -- a long-lived Session can intern
+// millions of monomials without inflating later linearisations.
+//
+// The reduced matrices are sparse, so reading them back is proportional to
+// their set bits: a row becomes a polynomial by walking its set bits from
+// the last column down (which is canonical order already), and
+// extract_facts() decides from a row's leading column and bit count
+// whether it is a fact before building it.
 #pragma once
 
 #include <cstddef>
@@ -48,21 +53,17 @@ struct Linearization {
 /// Build the linearised matrix of a polynomial system.
 Linearization linearize(const std::vector<anf::Polynomial>& polys);
 
-/// Reduce the linearised matrix to RREF and return its rank. This is the
-/// one elimination entry point the hot loops (XL, ElimLin, Groebner) go
-/// through: with `use_m4r` (the default) it runs the Method of Four
-/// Russians; without, plain Gauss-Jordan (genuinely plain -- the
-/// auto-dispatch inside Matrix::rref is bypassed). Both produce the
-/// identical reduced matrix, so the flag is a pure performance switch
-/// (see XlConfig::use_m4r).
-size_t reduce(Linearization& lin, bool use_m4r = true);
+/// Reduce the linearised matrix to RREF (gf2::Matrix::rref_m4r) and return
+/// its rank. The one elimination entry point of XL, ElimLin and Groebner.
+size_t reduce(Linearization& lin);
 
 /// Reconstruct the polynomial encoded by a matrix row.
 anf::Polynomial row_to_polynomial(const Linearization& lin, size_t row);
 
 /// After RREF: collect the learnt facts Bosphorus retains -- rows that are
-/// linear equations, and rows of the form (monomial + 1). A row equal to the
-/// constant 1 (i.e. 1 = 0) is returned as the constant-one polynomial.
+/// linear equations, and rows of the form (monomial + 1), in row order. A
+/// row equal to the constant 1 (i.e. 1 = 0) makes the result the single
+/// constant-one polynomial. Only the rows kept are built.
 std::vector<anf::Polynomial> extract_facts(const Linearization& lin);
 
 /// Linearised size m * n of a system: rows x distinct monomials. Used for

@@ -86,9 +86,10 @@ private:
 
 }  // namespace
 
-std::vector<Polynomial> run_xl(const std::vector<Polynomial>& system,
-                               const XlConfig& cfg, Rng& rng, XlStats* stats,
-                               const runtime::CancellationToken& cancel) {
+std::vector<Polynomial> expand_xl(const std::vector<Polynomial>& system,
+                                  const XlConfig& cfg, Rng& rng,
+                                  const runtime::CancellationToken& cancel,
+                                  size_t* sampled_equations) {
     if (system.empty() || cancel.cancelled()) return {};
 
     const size_t sample_budget = size_t{1} << std::min(cfg.m_budget, 48u);
@@ -150,19 +151,29 @@ std::vector<Polynomial> run_xl(const std::vector<Polynomial>& system,
         });
         if (!keep_going) break;
     }
+    if (sampled_equations) *sampled_equations = sampled.size();
+    return expanded;
+}
 
-    // 3. Gauss-Jordan elimination on the linearisation (M4R by default).
+std::vector<Polynomial> run_xl(const std::vector<Polynomial>& system,
+                               const XlConfig& cfg, Rng& rng, XlStats* stats,
+                               const runtime::CancellationToken& cancel) {
+    size_t sampled = 0;
+    const std::vector<Polynomial> expanded =
+        expand_xl(system, cfg, rng, cancel, &sampled);
+
+    // 3. Gauss-Jordan elimination on the linearisation.
     // No cancellation check after the elimination: once the expensive
     // reduction has completed, extracting its facts is cheap and they are
     // sound -- a cancelled run keeps them ("facts gathered so far").
-    if (cancel.cancelled()) return {};
+    if (expanded.empty() || cancel.cancelled()) return {};
     Linearization lin = linearize(expanded);
-    const size_t rank = reduce(lin, cfg.use_m4r);
+    const size_t rank = reduce(lin);
 
     std::vector<Polynomial> facts = extract_facts(lin);
 
     if (stats) {
-        stats->sampled_equations = sampled.size();
+        stats->sampled_equations = sampled;
         stats->expanded_rows = expanded.size();
         stats->columns = lin.cols();
         stats->rank = rank;

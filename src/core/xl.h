@@ -21,11 +21,6 @@ struct XlConfig {
     unsigned degree = 1;   ///< D: maximal multiplier monomial degree
     unsigned m_budget = 30;   ///< M: subsample until m'*n' >= 2^M
     unsigned delta_m = 4;  ///< deltaM: expansion cap 2^(M + deltaM)
-    /// Eliminate with the Method of Four Russians (rref_m4r) instead of
-    /// plain Gauss-Jordan. Identical results, asymptotically faster on
-    /// the dense linearisations XL produces; off forces plain elimination
-    /// (see core::reduce).
-    bool use_m4r = true;
 };
 
 struct XlStats {
@@ -36,7 +31,16 @@ struct XlStats {
     size_t facts = 0;
 };
 
-/// Run one XL pass. Returns the learnt facts (possibly including the
+/// Steps 1-2 of an XL pass: the rows XL eliminates (the subsampled system,
+/// then its products with the multipliers, capped at ~2^(M + deltaM)).
+/// Empty when `system` is empty or `cancel` fires. `sampled_equations`,
+/// if non-null, receives the subsample's size.
+std::vector<anf::Polynomial> expand_xl(
+    const std::vector<anf::Polynomial>& system, const XlConfig& cfg, Rng& rng,
+    const runtime::CancellationToken& cancel = {},
+    size_t* sampled_equations = nullptr);
+
+/// Run one XL pass: expand_xl(), then eliminate and extract_facts(). Returns the learnt facts (possibly including the
 /// constant-1 polynomial, meaning the system is UNSAT). `cancel` is polled
 /// at expansion-batch boundaries and around the elimination; a cancelled
 /// run returns the (possibly empty) facts gathered so far.

@@ -16,10 +16,14 @@ namespace bosphorus::gf2 {
 
 /// Dense matrix over GF(2). Rows are bit-packed into 64-bit words.
 ///
-/// The elimination routines implement plain word-sliced Gauss-Jordan; for the
-/// matrix sizes Bosphorus produces (up to ~2^17 x 2^17 in the default
-/// configuration) this is within a small constant factor of M4RI's Method of
-/// Four Russians while being considerably simpler to verify.
+/// Two eliminations produce the (unique) reduced row echelon form:
+/// rref_m4r(), the Method of Four Russians run window by window over 64
+/// columns, and plain word-sliced Gauss-Jordan, kept for callers that need
+/// the pivot columns (rref(&pivots), nullspace()). The linearisations XL
+/// and ElimLin build are very sparse and stay sparse when reduced; there a
+/// dense M4R that probes every row for every pivot is slower than plain
+/// Gauss-Jordan, so rref_m4r() touches only the rows and words that are
+/// nonzero in the window it is working on.
 class Matrix {
 public:
     Matrix() = default;
@@ -29,6 +33,11 @@ public:
 
     size_t rows() const { return rows_; }
     size_t cols() const { return cols_; }
+    size_t words_per_row() const { return words_per_row_; }
+
+    /// The packed words of row r: column c is bit c % 64 of word c / 64;
+    /// bits past cols() are zero.
+    const uint64_t* row_words(size_t r) const { return row_ptr(r); }
 
     bool get(size_t r, size_t c) const {
         return (word(r, c / 64) >> (c % 64)) & 1ULL;
@@ -75,13 +84,16 @@ public:
     /// In-place reduced row echelon form (Gauss-Jordan elimination).
     /// Returns the rank. `pivot_cols`, if non-null, receives the pivot column
     /// of row i for i < rank, in increasing order. Large matrices without a
-    /// pivot-column request are dispatched to the Method of Four Russians.
+    /// pivot-column request are dispatched to rref_m4r().
     size_t rref(std::vector<size_t>* pivot_cols = nullptr);
 
-    /// Method of Four Russians RREF (the M4RI algorithm): pivots are found
-    /// k at a time, all 2^k combinations of the pivot rows are tabulated,
-    /// and every other row is cleared with a single table lookup + row XOR.
-    /// Word-for-word the same result as plain rref().
+    /// Method of Four Russians RREF (the M4RI algorithm), one 64-column
+    /// window at a time. The window's pivots are found on the window words
+    /// of the rows that are nonzero there; they are applied k at a time
+    /// through a table of pivot-row combinations whose entries are built on
+    /// first use, and each row is cleared with one lookup + one row XOR
+    /// that starts at the window. Rows and windows with no bits cost
+    /// nothing. Word-for-word the same result as plain rref(&pivots).
     size_t rref_m4r(unsigned k = 8);
 
     /// Row echelon form only (no back-substitution). Returns rank.
@@ -110,6 +122,14 @@ private:
     uint64_t* row_ptr(size_t r) { return data_.data() + r * words_per_row_; }
     const uint64_t* row_ptr(size_t r) const {
         return data_.data() + r * words_per_row_;
+    }
+
+    /// rows_[dst] ^= rows_[src] over words [from, words_per_row_): for a
+    /// src that is zero before word `from`.
+    void xor_row_from(size_t dst, size_t src, size_t from) {
+        uint64_t* d = row_ptr(dst);
+        const uint64_t* s = row_ptr(src);
+        for (size_t w = from; w < words_per_row_; ++w) d[w] ^= s[w];
     }
 
     size_t rows_ = 0;

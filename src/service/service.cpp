@@ -116,6 +116,10 @@ struct SolveService::Impl {
                        : cfg_.n_workers),
           pool_(workers_) {
         cfg_.n_workers = workers_;
+        // Jobs answer with verdicts only: the wire RESULT never carries
+        // the processed ANF/CNF, and building them per job grew the
+        // daemon's memory with every job it completed.
+        cfg_.engine.emit_processed = false;
         if (!cfg_.fault_plan.empty()) {
             const Status s =
                 fault::FaultInjector::global().arm(cfg_.fault_plan);

@@ -1,8 +1,8 @@
 // Tests for the concurrent batch-solving runtime: BatchEngine determinism
 // against sequential runs, prompt interrupt/cancellation propagation into
-// technique iterations, the portfolio racer, and the M4R-by-default
-// elimination flag. The 20-instance suites double as the ThreadSanitizer
-// CI workload.
+// technique iterations, the portfolio racer, and extraction from the
+// elimination kernel vs plain Gauss-Jordan. The 20-instance suites double
+// as the ThreadSanitizer CI workload.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +12,7 @@
 
 #include "bosphorus/bosphorus.h"
 #include "cnfgen/generators.h"
+#include "core/linearize.h"
 #include "core/xl.h"
 #include "runtime/cancellation.h"
 #include "util/rng.h"
@@ -263,39 +264,29 @@ TEST(Portfolio, ExternalCancellationAbortsTheRace) {
     }
 }
 
-// ---- M4R default elimination path ------------------------------------------
+// ---- the elimination kernel feeds extraction exactly -----------------------
 
-TEST(M4rDefault, XlFactsIdenticalWithAndWithoutM4r) {
+TEST(ElimKernel, ExtractFactsSameFromKernelAndPlainRref) {
+    // XL's own linearisation of a planted instance, reduced once by the
+    // kernel (core::reduce) and once by plain Gauss-Jordan: the matrices
+    // and therefore the extracted facts must agree.
     Rng rng(11);
-    const Problem p = planted_instance(18, 30, rng);
+    const Problem p = planted_instance(10, 30, rng);
+    core::XlConfig cfg = {};
+    cfg.m_budget = 16;
+    Rng xl_rng(5);
+    const auto expanded = core::expand_xl(p.polynomials(), cfg, xl_rng);
+    ASSERT_FALSE(expanded.empty());
 
-    core::XlConfig with = {};
-    with.m_budget = 16;
-    ASSERT_TRUE(with.use_m4r);  // M4R is the default elimination path
-    core::XlConfig without = with;
-    without.use_m4r = false;
-
-    Rng r1(5), r2(5);  // identical subsampling on both paths
-    const auto facts_m4r = core::run_xl(p.polynomials(), with, r1);
-    const auto facts_plain = core::run_xl(p.polynomials(), without, r2);
-    EXPECT_EQ(facts_m4r, facts_plain);
-}
-
-TEST(M4rDefault, FullEngineRunIdenticalWithAndWithoutM4r) {
-    Rng rng(13);
-    const Problem p = planted_instance(14, 20, rng);
-
-    EngineConfig with = small_config();
-    EngineConfig without = small_config();
-    without.xl.use_m4r = false;
-    without.elimlin.use_m4r = false;
-    without.groebner.use_m4r = false;
-
-    Engine e1(with), e2(without);
-    Result<Report> r1 = e1.run(p), r2 = e2.run(p);
-    ASSERT_TRUE(r1.ok());
-    ASSERT_TRUE(r2.ok());
-    expect_reports_identical(*r1, *r2, 0);
+    core::Linearization kernel = core::linearize(expanded);
+    core::Linearization plain = kernel;
+    const size_t rank = core::reduce(kernel);
+    std::vector<size_t> pivots;
+    EXPECT_EQ(plain.matrix.rref(&pivots), rank);
+    EXPECT_EQ(kernel.matrix, plain.matrix);
+    const auto facts = core::extract_facts(kernel);
+    EXPECT_FALSE(facts.empty());
+    EXPECT_EQ(facts, core::extract_facts(plain));
 }
 
 }  // namespace

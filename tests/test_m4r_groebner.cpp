@@ -2,9 +2,15 @@
 // the degree-bounded Groebner (Buchberger/F4) learning step.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "anf/anf_parser.h"
 #include "core/bosphorus.h"
 #include "core/groebner.h"
+#include "core/linearize.h"
+#include "core/xl.h"
+#include "crypto/aes_small.h"
+#include "crypto/simon.h"
 #include "gf2/gf2_matrix.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -17,16 +23,39 @@ namespace {
 class M4rRandom : public ::testing::TestWithParam<int> {};
 
 TEST_P(M4rRandom, MatchesPlainRrefExactly) {
-    Rng rng(GetParam());
-    const size_t rows = 1 + rng.below(60);
-    const size_t cols = 1 + rng.below(90);
-    const gf2::Matrix original = gf2::Matrix::random(rows, cols, rng);
+    // Bit densities 1/2 down to 1/64, widths up to ~700 columns (mostly
+    // not a multiple of 64), whole 64-column windows left zero, and every
+    // third matrix tall and rank-deficient.
+    const int seed = GetParam();
+    Rng rng(static_cast<uint64_t>(seed));
+    const unsigned density_log = 1 + static_cast<unsigned>(seed % 6);
+    const bool tall = seed % 3 == 0;
+    const size_t cols = 1 + rng.below(700);
+    const size_t rows = tall ? cols + 1 + rng.below(200) : 1 + rng.below(300);
+    std::vector<bool> zero_window((cols + 63) / 64);
+    for (size_t w = 0; w < zero_window.size(); ++w)
+        zero_window[w] = rng.below(4) == 0;
+    gf2::Matrix original(rows, cols);
+    for (size_t r = 0; r < rows; ++r)
+        for (size_t c = 0; c < cols; ++c)
+            if (!zero_window[c / 64] && rng.below(1u << density_log) == 0)
+                original.set(r, c, true);
+    if (tall) {
+        // Rows past the first cols/2 are sums of two of those.
+        const size_t basis = std::max<size_t>(1, cols / 2);
+        for (size_t r = basis; r < rows; ++r) {
+            const size_t a = rng.below(basis), b = rng.below(basis);
+            for (size_t c = 0; c < cols; ++c)
+                original.set(r, c, original.get(a, c) ^ original.get(b, c));
+        }
+    }
 
     gf2::Matrix plain = original;
     std::vector<size_t> pivots;
     const size_t rank_plain = plain.rref(&pivots);  // forces the plain path
+    if (tall) EXPECT_LE(rank_plain, std::max<size_t>(1, cols / 2));
 
-    for (const unsigned k : {1u, 2u, 3u, 8u, 11u}) {
+    for (const unsigned k : {1u, 3u, 8u, 11u, 16u}) {
         gf2::Matrix fast = original;
         const size_t rank_fast = fast.rref_m4r(k);
         EXPECT_EQ(rank_fast, rank_plain) << "k=" << k;
@@ -34,7 +63,33 @@ TEST_P(M4rRandom, MatchesPlainRrefExactly) {
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, M4rRandom, ::testing::Range(0, 30));
+INSTANTIATE_TEST_SUITE_P(Seeds, M4rRandom, ::testing::Range(0, 60));
+
+TEST(M4r, RealXlExpansionsMatchPlain) {
+    // The matrices the kernel exists for: XL's linearisation of seeded
+    // Simon-[9,7] and SR(2,2,2,4) instances -- sparse, and sparse after
+    // reduction.
+    Rng rng(2024);
+    const auto simon = crypto::Simon32(7).encode(9, rng).polys;
+    const auto sr = crypto::SmallScaleAes({2, 2, 2, 4}).random_instance(rng).polys;
+    for (const auto* system : {&simon, &sr}) {
+        core::XlConfig cfg;
+        cfg.m_budget = 20;
+        Rng xl_rng(7);
+        const core::Linearization lin =
+            core::linearize(core::expand_xl(*system, cfg, xl_rng));
+        ASSERT_GT(lin.rows(), 1000u);
+        gf2::Matrix plain = lin.matrix;
+        std::vector<size_t> pivots;
+        const size_t rank = plain.rref(&pivots);
+        for (const unsigned k : {3u, 8u}) {
+            gf2::Matrix fast = lin.matrix;
+            EXPECT_EQ(fast.rref_m4r(k), rank) << "k=" << k;
+            EXPECT_EQ(fast, plain) << "k=" << k << " " << lin.rows() << "x"
+                                   << lin.cols();
+        }
+    }
+}
 
 TEST(M4r, LargeMatrixDispatch) {
     // rref() on a big matrix dispatches to M4R; spot-check the rank against

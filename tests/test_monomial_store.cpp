@@ -1,6 +1,6 @@
 // MonomialStore unit tests: intern idempotence, mul memoisation, deg-lex
-// rank monotonicity, and independence of the semantics from interning
-// order (id values may differ between stores; compare/rank/hash must not).
+// order, and independence of the semantics from interning order (id
+// values may differ between stores; compare/hash must not).
 #include "anf/monomial_store.h"
 
 #include <gtest/gtest.h>
@@ -99,32 +99,9 @@ TEST(MonomialStore, DegLexCompare) {
     EXPECT_GT(store.compare(x01, x1), 0);
 }
 
-TEST(MonomialStore, RanksAreOrderIsomorphicToLess) {
-    MonomialStore store;
-    Rng rng(42);
-    std::vector<MonoId> ids;
-    for (int i = 0; i < 300; ++i)
-        ids.push_back(store.intern(random_vars(rng, 12, 4)));
-    const auto ranks = store.ranks();
-    for (size_t i = 0; i < ids.size(); ++i) {
-        for (size_t j = 0; j < ids.size(); ++j) {
-            EXPECT_EQ((*ranks)[ids[i]] < (*ranks)[ids[j]],
-                      store.less(ids[i], ids[j]))
-                << "rank order must equal deg-lex order";
-        }
-    }
-    // A snapshot taken before further interning stays self-consistent for
-    // the ids it covers.
-    const size_t covered = ranks->size();
-    store.intern({100, 101, 102});
-    EXPECT_EQ(ranks->size(), covered);
-    const auto fresh = store.ranks();
-    EXPECT_GT(fresh->size(), covered);
-}
-
 TEST(MonomialStore, SemanticsIndependentOfInterningOrder) {
     // Intern the same vocabulary into two stores in opposite orders: the
-    // raw id values differ, but compare(), hash() and rank order agree --
+    // raw id values differ, but compare() and hash() agree --
     // the property that keeps all observable output independent of store
     // history.
     Rng rng(7);
@@ -142,8 +119,6 @@ TEST(MonomialStore, SemanticsIndependentOfInterningOrder) {
             rev.intern_sorted(it->data(), static_cast<uint32_t>(it->size())));
     std::reverse(rev_ids.begin(), rev_ids.end());  // align with vocab order
 
-    const auto fwd_ranks = fwd.ranks();
-    const auto rev_ranks = rev.ranks();
     for (size_t i = 0; i < vocab.size(); ++i) {
         EXPECT_EQ(fwd.hash(fwd_ids[i]), rev.hash(rev_ids[i]))
             << "content hash must not depend on interning order";
@@ -152,8 +127,6 @@ TEST(MonomialStore, SemanticsIndependentOfInterningOrder) {
             const int c2 = rev.compare(rev_ids[i], rev_ids[j]);
             EXPECT_EQ(c1 < 0, c2 < 0);
             EXPECT_EQ(c1 == 0, c2 == 0);
-            EXPECT_EQ((*fwd_ranks)[fwd_ids[i]] < (*fwd_ranks)[fwd_ids[j]],
-                      (*rev_ranks)[rev_ids[i]] < (*rev_ranks)[rev_ids[j]]);
         }
     }
 }

@@ -177,6 +177,55 @@ TEST(Service, OneShotVerdictMatchesEngine) {
     EXPECT_EQ(out->timeout_s, scfg.default_timeout_s);
 }
 
+TEST(Service, JobsAreVerdictOnly) {
+    // Even under emit_processed = true, service jobs never build the
+    // processed ANF/CNF (RESULT does not carry it); verdicts are those of
+    // the direct runs.
+    EngineConfig cfg = small_config();
+    cfg.emit_processed = true;
+    const Result<Report> direct = Engine(cfg).run(paper_example());
+    ASSERT_TRUE(direct.ok());
+    ASSERT_FALSE(direct->processed_anf.empty());
+
+    ServiceConfig scfg;
+    scfg.engine = cfg;
+    scfg.n_workers = 2;
+    SolveService svc(scfg);
+    EXPECT_FALSE(svc.config().engine.emit_processed);
+    auto expect_verdict_only = [](const Report& r) {
+        EXPECT_TRUE(r.processed_anf.empty());
+        EXPECT_TRUE(r.processed_cnf.cnf.clauses.empty());
+        EXPECT_TRUE(r.processed_cnf.cnf.xors.empty());
+        EXPECT_TRUE(r.processed_cnf.mono_of_var.empty());
+    };
+
+    const Result<JobId> id = svc.submit(one_shot("a", paper_example()));
+    ASSERT_TRUE(id.ok());
+    const Result<JobOutcome> out = svc.wait(*id);
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(out->state, JobState::kDone);
+    EXPECT_EQ(out->report.verdict, direct->verdict);
+    EXPECT_EQ(out->report.solution, direct->solution);
+    expect_verdict_only(out->report);
+
+    ASSERT_TRUE(svc.open_session("a", "s", paper_example()).ok());
+    for (const bool value : {false, true}) {  // x5 = 0 is SAT, x5 = 1 UNSAT
+        Session session(paper_example(), cfg);
+        ASSERT_TRUE(session.assume(4, value).ok());
+        const Result<Report> warm = session.solve();
+        ASSERT_TRUE(warm.ok());
+        const Result<JobId> sid = svc.submit_assumptions("a", "s", {{4, value}});
+        ASSERT_TRUE(sid.ok());
+        const Result<JobOutcome> sout = svc.wait(*sid);
+        ASSERT_TRUE(sout.ok());
+        EXPECT_EQ(sout->state, JobState::kDone);
+        EXPECT_EQ(sout->report.verdict, warm->verdict);
+        EXPECT_EQ(sout->report.verdict,
+                  value ? sat::Result::kUnsat : sat::Result::kSat);
+        expect_verdict_only(sout->report);
+    }
+}
+
 TEST(Service, EightConcurrentClientsMixedWorkloads) {
     // The acceptance scenario: >= 8 concurrent clients against ONE
     // service, mixing one-shot jobs and warm session sweeps; every

@@ -130,11 +130,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReprEquivalence, ::testing::Range(0, 10));
 // ---- store-history independence of the lineariser ------------------------
 
 TEST(Linearize, ColumnOrderIndependentOfStoreSize) {
-    // linearize() picks between rank-table and direct compares based on
-    // how big the column set is relative to the interned vocabulary. Both
-    // branches must order columns identically: take a system, linearise
-    // (small store -> rank path likely), then intern a pile of unrelated
-    // vocabulary to flip the heuristic and linearise again.
+    // linearize() de-duplicates terms by raw MonoId before sorting the
+    // distinct monomials by content. Raw id values depend on store
+    // history; the column order must not: linearise, grow the store with
+    // unrelated vocabulary, then linearise the system again with its
+    // polynomials in reverse order (so terms arrive in a different id
+    // order) plus one polynomial whose monomials are interned only now
+    // and so carry the newest ids.
     Rng rng(testutil::test_seed() * 1000003 + 123);
     std::vector<Polynomial> polys;
     for (int i = 0; i < 12; ++i)
@@ -152,12 +154,21 @@ TEST(Linearize, ColumnOrderIndependentOfStoreSize) {
         store.intern({static_cast<Var>(500000 + i),
                       static_cast<Var>(500001 + i)});
 
-    const core::Linearization after = core::linearize(polys);
-    ASSERT_EQ(before.col_monomial.size(), after.col_monomial.size());
+    std::vector<Polynomial> reversed(polys.rbegin(), polys.rend());
+    const core::Linearization again = core::linearize(reversed);
+    ASSERT_EQ(before.col_monomial.size(), again.col_monomial.size());
     for (size_t c = 0; c < before.col_monomial.size(); ++c) {
-        EXPECT_EQ(before.col_monomial[c], after.col_monomial[c])
+        EXPECT_EQ(before.col_monomial[c], again.col_monomial[c])
             << "column order leaked store history at column " << c;
     }
+
+    // Fresh monomials of every degree: they must land at their deg-lex
+    // place, not after the old ids.
+    reversed.push_back(Polynomial(std::vector<Monomial>{
+        Monomial(std::vector<Var>{0, 400000, 400001}),
+        Monomial(std::vector<Var>{0, 400000}), Monomial(Var{400000})}));
+    const core::Linearization after = core::linearize(reversed);
+    ASSERT_EQ(after.col_monomial.size(), before.col_monomial.size() + 3);
     // Descending deg-lex, constant term last -- as documented.
     for (size_t c = 0; c + 1 < after.col_monomial.size(); ++c)
         EXPECT_TRUE(after.col_monomial[c + 1] < after.col_monomial[c]);

@@ -45,6 +45,98 @@ TEST(Linearize, RowRoundTrip) {
         EXPECT_EQ(row_to_polynomial(lin, r), sys.polynomials[r]);
 }
 
+// ---- reading reduced rows back --------------------------------------------
+
+/// The plain row decoder: probe every column, then let the Polynomial
+/// constructor canonicalise.
+Polynomial reference_row(const Linearization& lin, size_t r) {
+    std::vector<anf::Monomial> monos;
+    for (size_t c = 0; c < lin.cols(); ++c)
+        if (lin.matrix.get(r, c)) monos.push_back(lin.col_monomial[c]);
+    return Polynomial(std::move(monos));
+}
+
+/// extract_facts() as build-then-filter: every nonzero row decoded, then
+/// the linear rows and the monomial + 1 rows kept.
+std::vector<Polynomial> reference_facts(const Linearization& lin) {
+    std::vector<Polynomial> facts;
+    for (size_t r = 0; r < lin.rows(); ++r) {
+        if (lin.matrix.row_is_zero(r)) continue;
+        Polynomial p = reference_row(lin, r);
+        if (p.is_one()) return {Polynomial::constant(true)};
+        const bool monomial_fact =
+            p.size() == 2 && p.has_constant_term() && p.degree() >= 2;
+        if (p.degree() <= 1 || monomial_fact) facts.push_back(std::move(p));
+    }
+    return facts;
+}
+
+/// XL's linearisation of a seeded Simon-[9,7] or SR(2,2,2,4) instance.
+Linearization xl_linearization(bool simon, uint64_t seed) {
+    Rng rng(seed);
+    const auto system =
+        simon ? crypto::Simon32(7).encode(9, rng).polys
+              : crypto::SmallScaleAes({2, 2, 2, 4}).random_instance(rng).polys;
+    XlConfig cfg;
+    cfg.m_budget = 18;
+    Rng xl_rng(seed + 1);
+    return linearize(expand_xl(system, cfg, xl_rng));
+}
+
+TEST(Linearize, RowToPolynomialMatchesReference) {
+    for (const bool simon : {true, false}) {
+        Linearization lin = xl_linearization(simon, 5);
+        for (size_t r = 0; r < lin.rows(); ++r)
+            ASSERT_EQ(row_to_polynomial(lin, r), reference_row(lin, r)) << r;
+        reduce(lin);
+        for (size_t r = 0; r < lin.rows(); ++r)
+            ASSERT_EQ(row_to_polynomial(lin, r), reference_row(lin, r)) << r;
+    }
+}
+
+TEST(Linearize, ExtractFactsMatchesBuildThenFilter) {
+    const char* systems[] = {
+        // a 1 = 0 row after other facts
+        "x1*x2 + x3\nx1*x2 + x3 + 1\nx4 + x5\nx2*x3 + 1\n",
+        // no constant column (homogeneous)
+        "x1*x2 + x3\nx2*x3 + x1*x2\nx3 + x2\n",
+        // monomial + 1, and degree-2 rows that are not facts
+        "x1*x2*x3 + 1\nx1*x2 + x3\nx2*x3 + x1 + 1\nx1*x4 + x2*x4\n",
+        // linear + 1 next to a monomial + 1
+        "x1 + x2 + 1\nx3*x4 + 1\nx1 + x3 + x4\n",
+    };
+    for (const char* text : systems) {
+        Linearization lin = linearize(parse_system_from_string(text).polynomials);
+        reduce(lin);
+        EXPECT_EQ(extract_facts(lin), reference_facts(lin)) << text;
+    }
+    {
+        Linearization contradiction = linearize(
+            parse_system_from_string("x1*x2 + x3\nx1*x2 + x3 + 1\nx4\n")
+                .polynomials);
+        reduce(contradiction);
+        EXPECT_EQ(extract_facts(contradiction),
+                  std::vector<Polynomial>{Polynomial::constant(true)});
+    }
+    {
+        // Only zero polynomials: rows but no columns.
+        Linearization empty = linearize({Polynomial(), Polynomial()});
+        ASSERT_EQ(empty.rows(), 2u);
+        ASSERT_EQ(empty.cols(), 0u);
+        reduce(empty);
+        EXPECT_TRUE(extract_facts(empty).empty());
+    }
+    for (const bool simon : {true, false}) {
+        for (uint64_t seed = 1; seed <= 3; ++seed) {
+            Linearization lin = xl_linearization(simon, seed);
+            reduce(lin);
+            const auto facts = extract_facts(lin);
+            EXPECT_FALSE(facts.empty());
+            EXPECT_EQ(facts, reference_facts(lin));
+        }
+    }
+}
+
 TEST(Linearize, LinearizedSize) {
     const auto sys = parse_system_from_string("x1*x2 + x3 + 1\nx2 + x3\n");
     // 2 rows x 4 distinct monomials.
@@ -116,6 +208,43 @@ TEST(Xl, DetectsContradiction) {
     const auto facts = run_xl(sys.polynomials, cfg, rng);
     ASSERT_EQ(facts.size(), 1u);
     EXPECT_TRUE(facts[0].is_one());
+}
+
+TEST(XL, GoldenSimonAndSr) {
+    // Fact count, an order-sensitive fold of the facts' content hashes and
+    // every XlStats field, recorded with the dense M4R elimination and the
+    // column-probing extraction: the path may get faster, never different.
+    struct Golden {
+        size_t facts;
+        uint64_t hash;
+        XlStats stats;
+    };
+    const Golden golden[] = {
+        {224, 0xb18d11cfbfcf7605ULL, {785, 2960, 5671, 2954, 224}},
+        {80, 0x68aa09682f04116dULL, {332, 3275, 5126, 2999, 80}},
+    };
+    for (const bool simon : {true, false}) {
+        Rng rng(2024);
+        const auto system =
+            simon ? crypto::Simon32(7).encode(9, rng).polys
+                  : crypto::SmallScaleAes({2, 2, 2, 4}).random_instance(rng).polys;
+        XlConfig cfg;
+        cfg.m_budget = 20;
+        Rng xl_rng(7);
+        XlStats stats;
+        const auto facts = run_xl(system, cfg, xl_rng, &stats);
+        uint64_t hash = 0;
+        for (const auto& f : facts) hash = (hash ^ f.hash()) * 0x100000001B3ULL;
+
+        const Golden& want = golden[simon ? 0 : 1];
+        EXPECT_EQ(facts.size(), want.facts) << (simon ? "simon" : "sr");
+        EXPECT_EQ(hash, want.hash) << (simon ? "simon" : "sr");
+        EXPECT_EQ(stats.sampled_equations, want.stats.sampled_equations);
+        EXPECT_EQ(stats.expanded_rows, want.stats.expanded_rows);
+        EXPECT_EQ(stats.columns, want.stats.columns);
+        EXPECT_EQ(stats.rank, want.stats.rank);
+        EXPECT_EQ(stats.facts, want.stats.facts);
+    }
 }
 
 // ---- ElimLin ---------------------------------------------------------------
