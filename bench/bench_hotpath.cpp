@@ -19,7 +19,12 @@
 // regression. The other is `elim_kernel_over_plain`: plain Gauss-Jordan
 // time over Matrix::rref_m4r() time on the interned arm's linearised
 // matrices (both must reduce to the same matrix, or the harness exits
-// nonzero). Pass --legacy-terms to time only the legacy arm.
+// nonzero). The third is `subst_kernel_over_reference`: the reference
+// substitution (untouched terms + quotient * by, canonicalised) time over
+// the in-place substitution kernel's (Polynomial::apply) on the
+// substitutions the interned arm's ElimLin loop performs (both must give
+// the same polynomial, or the harness exits nonzero). Pass --legacy-terms
+// to time only the legacy arm.
 //
 // Knobs (defaults tuned so the term algebra, not the shared GF(2)
 // elimination, dominates the measurement): BENCH_HOT_INSTANCES (6),
@@ -36,6 +41,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -86,16 +92,47 @@ struct MonoHashOf {
     size_t operator()(const Mono& m) const { return m.hash(); }
 };
 
+// One ElimLin substitution q := q[v := by], as the interned arm met it.
+struct SubstCase {
+    bosphorus::anf::Polynomial q, by;
+    Var v = 0;
+};
+
+// The mirrored ElimLin loop's substitution step: the legacy arm calls its
+// own substitute(); the interned arm runs the in-place kernel.
+template <class Poly>
+struct Substituter {
+    Var v = 0;
+    Poly by;
+    void set(Var var, const Poly& image) {
+        v = var;
+        by = image;
+    }
+    void operator()(Poly& q) const { q = q.substitute(v, by); }
+};
+
+template <>
+struct Substituter<bosphorus::anf::Polynomial> {
+    bosphorus::anf::Substitution s;
+    void set(Var var, const bosphorus::anf::Polynomial& image) {
+        s.clear();
+        s.set(var, image);
+    }
+    void operator()(bosphorus::anf::Polynomial& q) const { q.apply(s); }
+};
+
 // The mirrored hot pipeline. No randomness, no id-value dependence, no
 // unordered-container iteration leaks (sets are membership/size only, the
 // column list is sorted before use) -- so the two instantiations must
 // produce identical facts.
 // `matrices`, if non-null, receives a copy of every linearised matrix
-// before its reduction.
+// before its reduction; `substs`, if non-null (interned arm only),
+// receives every ElimLin substitution before it is applied.
 template <class Poly, class Mono>
 HotOutcome run_hot_pipeline(
     const SystemDesc& desc, const HotKnobs& knobs,
-    std::vector<bosphorus::gf2::Matrix>* matrices = nullptr) {
+    std::vector<bosphorus::gf2::Matrix>* matrices = nullptr,
+    std::vector<SubstCase>* substs = nullptr) {
     HotOutcome out;
 
     std::vector<Poly> system;
@@ -248,17 +285,27 @@ HotOutcome run_hot_pipeline(
                     best_count = count;
                 }
             }
-            Poly rest = l + Poly::variable(best);
+            const Poly rest = l + Poly::variable(best);
+            Substituter<Poly> subst;
+            subst.set(best, rest);
+            auto record = [&](const Poly& q) {
+                if constexpr (std::is_same_v<Poly, bosphorus::anf::Polynomial>) {
+                    if (substs) substs->push_back({q, rest, best});
+                }
+            };
             for (Poly& q : work) {
                 if (q.contains_var(best)) {
                     out.terms += q.size();
-                    q = q.substitute(best, rest);
+                    record(q);
+                    subst(q);
                     out.terms += q.size();
                 }
             }
             for (size_t lj = li + 1; lj < pending.size(); ++lj) {
-                if (pending[lj].contains_var(best))
-                    pending[lj] = pending[lj].substitute(best, rest);
+                if (pending[lj].contains_var(best)) {
+                    record(pending[lj]);
+                    subst(pending[lj]);
+                }
             }
         }
         work.erase(std::remove_if(work.begin(), work.end(),
@@ -416,6 +463,53 @@ int main(int argc, char** argv) {
     }
     const double kernel_over_plain = kernel_s > 0 ? plain_s / kernel_s : 0.0;
 
+    // ---- the substitution kernel vs the reference composition on the
+    // interned arm's ElimLin substitutions (collected by one extra,
+    // untimed pass), alternating per pass, 10 passes per repetition.
+    // Both must give the same polynomial.
+    double subst_kernel_s = 0.0, subst_reference_s = 0.0;
+    bool subst_identical = true;
+    size_t subst_cases = 0;
+    if (!legacy_only) {
+        std::vector<SubstCase> cases;
+        for (size_t i = 0; i < instances; ++i)
+            run_hot_pipeline<IPoly, IMono>(descs[i], knobs, nullptr, &cases);
+        subst_cases = cases.size();
+        std::vector<bosphorus::anf::Substitution> maps(cases.size());
+        for (size_t c = 0; c < cases.size(); ++c)
+            maps[c].set(cases[c].v, cases[c].by);
+        std::vector<IPoly> kernel_out(cases.size()), reference_out(cases.size());
+        for (size_t rep = 0; rep < 10 * reps; ++rep) {
+            Timer tk;
+            for (size_t c = 0; c < cases.size(); ++c) {
+                kernel_out[c] = cases[c].q;
+                kernel_out[c].apply(maps[c]);
+            }
+            subst_kernel_s += tk.seconds();
+            Timer tr;
+            for (size_t c = 0; c < cases.size(); ++c) {
+                std::vector<IMono> untouched, quotients;
+                for (const IMono& m : cases[c].q.monomials()) {
+                    if (m.contains(cases[c].v)) {
+                        quotients.push_back(m.without(cases[c].v));
+                    } else {
+                        untouched.push_back(m);
+                    }
+                }
+                reference_out[c] = IPoly(std::move(untouched)) +
+                                   IPoly(std::move(quotients)) * cases[c].by;
+            }
+            subst_reference_s += tr.seconds();
+            subst_identical = subst_identical && kernel_out == reference_out;
+        }
+        if (!subst_identical)
+            std::fprintf(stderr,
+                         "substitution kernel and reference composition "
+                         "disagree\n");
+    }
+    const double subst_over_reference =
+        subst_kernel_s > 0 ? subst_reference_s / subst_kernel_s : 0.0;
+
     // ---- equivalence: facts and derived verdicts must be bit-identical.
     bool facts_identical = true;
     bool verdicts_identical = true;
@@ -498,6 +592,11 @@ int main(int argc, char** argv) {
         "\"identical\": %s},\n",
         kernel_s, plain_s, elim_identical ? "true" : "false");
     add("  \"elim_kernel_over_plain\": %.3f,\n", kernel_over_plain);
+    add("  \"subst\": {\"cases\": %zu, \"kernel_seconds\": %.4f, "
+        "\"reference_seconds\": %.4f, \"identical\": %s},\n",
+        subst_cases, subst_kernel_s, subst_reference_s,
+        subst_identical ? "true" : "false");
+    add("  \"subst_kernel_over_reference\": %.3f,\n", subst_over_reference);
     add("  \"facts_identical\": %s,\n  \"verdicts_identical\": %s,\n",
         facts_identical ? "true" : "false",
         verdicts_identical ? "true" : "false");
@@ -512,5 +611,8 @@ int main(int argc, char** argv) {
     if (std::ofstream out{json_path}) out << json;
     else std::fprintf(stderr, "warning: cannot write %s\n", json_path);
 
-    return (facts_identical && verdicts_identical && elim_identical) ? 0 : 1;
+    return (facts_identical && verdicts_identical && elim_identical &&
+            subst_identical)
+               ? 0
+               : 1;
 }

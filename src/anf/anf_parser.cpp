@@ -125,8 +125,7 @@ ParsedSystem parse_system(std::istream& in) {
             throw ParseError("line " + std::to_string(line_no) + ": " +
                              e.what());
         }
-        for (Var v : p.variables())
-            sys.num_vars = std::max(sys.num_vars, static_cast<size_t>(v) + 1);
+        sys.num_vars = std::max(sys.num_vars, p.var_bound());
         sys.polynomials.push_back(std::move(p));
     }
     return sys;

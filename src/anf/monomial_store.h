@@ -24,13 +24,14 @@
 //    Monomial::hash), so results are bit-identical regardless of store
 //    history.
 //
-// Thread safety: intern/mul/quotient/without take an internal mutex;
-// vars/degree/hash/less/compare/divides are lock-free reads. A lock-free
-// read of id X is safe on any thread that obtained X through a
-// happens-before edge with the interning thread (same thread, or a handoff
-// through a synchronised channel such as the batch runtime's thread pool):
-// entry storage is chunked and never moves, and a slot is fully written
-// before its id escapes the mutex.
+// Thread safety: intern/mul/quotient/without take an internal mutex
+// (mul and without first ask a per-thread front cache);
+// vars/degree/hash/order_key/less/compare/divides are lock-free reads. A
+// lock-free read of id X is safe on any thread that obtained X through a
+// happens-before edge with the interning thread (same thread, or a
+// handoff through a synchronised channel such as the batch runtime's
+// thread pool): entry storage is chunked and never moves, and a slot is
+// fully written before its id escapes the mutex.
 #pragma once
 
 #include <atomic>
@@ -91,7 +92,14 @@ inline bool operator==(const std::vector<Var>& a, const VarSpan& b) {
 
 class MonomialStore {
 public:
-    MonomialStore();
+    /// The largest id space a store can address (kMaxBlocks blocks of
+    /// kBlockSize entries).
+    static constexpr size_t kMaxEntries = size_t{1} << 28;
+
+    /// A store holding at most `max_entries` monomials (clamped to
+    /// kMaxEntries). Interning a fresh monomial past the cap throws
+    /// std::length_error; only tests shrink it.
+    explicit MonomialStore(size_t max_entries = kMaxEntries);
     ~MonomialStore();
 
     MonomialStore(const MonomialStore&) = delete;
@@ -104,6 +112,9 @@ public:
     // ---- interning -------------------------------------------------------
 
     /// Intern a variable set given in any order, with duplicates (x^2 = x).
+    /// Every interning call (this, intern_sorted, intern_var, mul,
+    /// quotient, without) throws std::length_error when a fresh monomial would exceed the
+    /// store's entry cap; the store is left unchanged.
     MonoId intern(std::vector<Var> vars);
 
     /// Intern a canonical (sorted, duplicate-free) variable list.
@@ -127,10 +138,18 @@ public:
 
     /// Degree-lexicographic order on content (degree first, then
     /// lexicographic variable lists): the canonical term order everywhere
-    /// in the library. O(1) when degrees differ (the cached-degree fast
-    /// path), O(shared prefix) otherwise.
+    /// in the library. O(1) when the cached order keys differ, O(shared
+    /// prefix) otherwise.
     bool less(MonoId a, MonoId b) const { return compare(a, b) < 0; }
     int compare(MonoId a, MonoId b) const;
+
+    /// A cached 64-bit prefix of the deg-lex order: the degree, then the
+    /// first two variables. Monotone: a <= b implies key(a) <= key(b), so
+    /// unequal keys decide compare() and equal keys of distinct monomials
+    /// (degree >= 3 sharing two leading variables, or clamped fields) fall
+    /// back to the full comparison. Sorts can compare keys without
+    /// touching the store.
+    uint64_t order_key(MonoId id) const { return entry(id).key; }
 
     bool contains(MonoId id, Var v) const;
 
@@ -148,6 +167,8 @@ public:
     MonoId quotient(MonoId target, MonoId m);
 
     /// The monomial with variable v removed. Precondition: contains(id, v).
+    /// Repeat calls are answered from a per-thread front cache without
+    /// taking the mutex (the substitution kernel calls this per term).
     MonoId without(MonoId id, Var v);
 
     // ---- introspection ---------------------------------------------------
@@ -188,6 +209,7 @@ private:
         const Var* vars = nullptr;  // into the arena; never moves
         uint32_t len = 0;           // == degree (variables are distinct)
         uint64_t hash = 0;          // cached content hash
+        uint64_t key = 0;           // cached order_key()
     };
 
     // Entries live in fixed-size blocks behind a never-resized pointer
@@ -196,13 +218,15 @@ private:
     // escapes.
     static constexpr uint32_t kBlockBits = 13;
     static constexpr uint32_t kBlockSize = 1u << kBlockBits;  // entries/block
-    static constexpr uint32_t kMaxBlocks = 1u << 15;  // 2^28 ids max
+    static constexpr uint32_t kMaxBlocks = 1u << 15;
+    static_assert(size_t{kMaxBlocks} * kBlockSize == kMaxEntries);
 
     const Entry& entry(MonoId id) const {
         return blocks_[id >> kBlockBits][id & (kBlockSize - 1)];
     }
 
     static uint64_t hash_vars(const Var* vars, uint32_t n);
+    static uint64_t key_vars(const Var* vars, uint32_t n);
 
     /// Shared implementation; requires mu_ held.
     MonoId intern_sorted_locked(const Var* vars, uint32_t n);
@@ -210,9 +234,11 @@ private:
     mutable std::mutex mu_;
 
     // Process-unique serial (never reused, unlike addresses): keys the
-    // per-thread mul front cache so a slot written by a destroyed store
-    // can never satisfy a lookup for a newer one.
+    // per-thread front caches so a slot written by a destroyed store can
+    // never satisfy a lookup for a newer one.
     const uint64_t serial_;
+
+    const size_t max_entries_;  // entry cap, <= kMaxEntries
 
     // Arena for variable lists: chunked, append-only, stable addresses.
     static constexpr size_t kArenaChunk = 1u << 16;  // Vars per chunk
@@ -220,7 +246,7 @@ private:
     size_t arena_used_ = kArenaChunk;  // forces a chunk on first intern
     size_t arena_bytes_ = 0;           // total allocated, under mu_
 
-    std::vector<Entry*> blocks_;          // size kMaxBlocks, lazily filled
+    std::vector<Entry*> blocks_;          // covers max_entries_, lazily filled
     std::atomic<uint32_t> count_{0};      // published entry count
 
     // content hash -> ids with that hash (collision chain), under mu_.

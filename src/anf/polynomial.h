@@ -10,14 +10,22 @@
 // list is a packed sorted vector of MonoIds: copies are memcpys, equality
 // is an id-vector compare, and operator+= merges in place without
 // allocating per term.
+//
+// Substitution has one implementation, Polynomial::apply: ElimLin's
+// best := rest and ANF propagation's normalisation (every fixed or
+// replaced variable at once) both go through it.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "anf/monomial.h"
 
 namespace bosphorus::anf {
+
+class Substitution;
+struct VarDelta;
 
 class Polynomial {
 public:
@@ -66,8 +74,14 @@ public:
         return !monos_.empty() && monos_.front().is_one();
     }
 
-    /// Distinct variables appearing in the polynomial, sorted.
+    /// Distinct variables appearing in the polynomial, sorted. One pass
+    /// over the terms that marks each variable in a per-thread stamp
+    /// table; only the distinct variables are sorted.
     std::vector<Var> variables() const;
+
+    /// One more than the largest variable mentioned (0 for constants):
+    /// the variable-space size the polynomial needs.
+    size_t var_bound() const;
 
     bool contains_var(Var v) const;
 
@@ -92,9 +106,19 @@ public:
     /// Evaluate under a full assignment.
     bool evaluate(const std::vector<bool>& assignment) const;
 
-    /// Substitute variable v by polynomial `by` (e.g. by a constant, another
-    /// variable, its negation, or a general polynomial). Returns the
-    /// canonicalised result.
+    /// The substitution kernel: rewrite in place under `s`, in one pass
+    /// over the terms. A term that mentions no mapped variable is kept as
+    /// it is (a subsequence of a canonical list is canonical). Every other
+    /// term m becomes (m without its mapped variables) times the product
+    /// of their images; those images are gathered, sorted (one run per
+    /// term, then merged), pair-cancelled and merged back with the kept
+    /// terms. Returns false, leaving the
+    /// polynomial untouched, when no term mentions a mapped variable.
+    /// If `delta` is non-null it receives the variables the rewrite
+    /// removed and added (both empty when nothing was rewritten).
+    bool apply(const Substitution& s, VarDelta* delta = nullptr);
+
+    /// Substitute variable v by polynomial `by`: a single-entry apply().
     Polynomial substitute(Var v, const Polynomial& by) const;
 
     size_t hash() const {
@@ -112,8 +136,48 @@ private:
     std::vector<Monomial> monos_;
 };
 
+/// A simultaneous substitution x_v := image_v over a set of variables: the
+/// map Polynomial::apply rewrites under. Images are not substituted again,
+/// so an image may mention any variable. Lookups index a table by
+/// variable id; clear() costs only the entries set since the last clear.
+class Substitution {
+public:
+    /// Map v to `image`, replacing an earlier image of v.
+    void set(Var v, Polynomial image);
+
+    /// Forget every entry.
+    void clear();
+
+    bool empty() const { return mapped_.empty(); }
+
+    /// The image of v, or nullptr when v is not mapped.
+    const Polynomial* find(Var v) const {
+        return v < slot_.size() && slot_[v] != kNone ? &images_[slot_[v]]
+                                                     : nullptr;
+    }
+
+private:
+    static constexpr uint32_t kNone = UINT32_MAX;
+
+    std::vector<uint32_t> slot_;      // var -> index into images_
+    std::vector<Var> mapped_;         // the variables set, in set() order
+    std::vector<Polynomial> images_;
+};
+
+/// What Polynomial::apply did to a polynomial's variable set: the
+/// variables it no longer mentions and the ones it newly mentions, each
+/// sorted ascending.
+struct VarDelta {
+    std::vector<Var> removed;
+    std::vector<Var> added;
+};
+
 struct PolynomialHash {
     size_t operator()(const Polynomial& p) const { return p.hash(); }
 };
+
+/// Distinct variables of a whole system, sorted: the stamp pass of
+/// Polynomial::variables() over every polynomial.
+std::vector<Var> variables(const std::vector<Polynomial>& polys);
 
 }  // namespace bosphorus::anf

@@ -16,8 +16,7 @@ Problem Problem::from_anf(std::vector<anf::Polynomial> polys,
     p.polys_ = std::move(polys);
     p.num_vars_ = num_vars;
     for (const auto& poly : p.polys_)
-        for (anf::Var v : poly.variables())
-            p.num_vars_ = std::max(p.num_vars_, static_cast<size_t>(v) + 1);
+        p.num_vars_ = std::max(p.num_vars_, poly.var_bound());
     return p;
 }
 
@@ -64,8 +63,7 @@ Status Problem::add_polynomial(const anf::Polynomial& p) {
         return Status::invalid_argument(
             "add_polynomial on a CNF problem (use add_clause)");
     kind_ = Kind::kAnf;
-    for (anf::Var v : p.variables())
-        num_vars_ = std::max(num_vars_, static_cast<size_t>(v) + 1);
+    num_vars_ = std::max(num_vars_, p.var_bound());
     polys_.push_back(p);
     return Status();
 }

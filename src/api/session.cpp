@@ -72,11 +72,11 @@ Session::~Session() = default;
 // ---- scopes ----------------------------------------------------------------
 
 Status Session::add(const Polynomial& p) {
-    const auto vars = p.variables();  // sorted ascending
-    if (!vars.empty() && vars.back() >= num_vars_) {
+    const size_t bound = p.var_bound();
+    if (bound > num_vars_) {
         return Status::invalid_argument(
             "Session::add: polynomial mentions variable x" +
-            std::to_string(vars.back() + 1) + " outside the problem's " +
+            std::to_string(bound) + " outside the problem's " +
             std::to_string(num_vars_) + "-variable space");
     }
     sys_.add_original(p);

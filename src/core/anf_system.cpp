@@ -42,41 +42,46 @@ VarState AnfSystem::resolve(Var v) const {
     }
 }
 
-Polynomial AnfSystem::normalise(const Polynomial& p) const {
-    Polynomial out = p;
-    for (Var v : p.variables()) {
-        const VarState st = resolve(v);
-        if (st.kind == VarState::Kind::kFixed) {
-            out = out.substitute(v, Polynomial::constant(st.value));
-        } else if (st.kind == VarState::Kind::kReplaced &&
-                   (st.root != v || st.flip)) {
-            Polynomial repl = Polynomial::variable(st.root);
-            if (st.flip) repl += Polynomial::constant(true);
-            out = out.substitute(v, repl);
+std::optional<Polynomial> AnfSystem::normalise(const Polynomial& p) {
+    subst_.clear();
+    for (const Monomial& m : p.monomials()) {
+        for (Var v : m.vars()) {
+            if (states_[v].kind == VarState::Kind::kFree || subst_.find(v))
+                continue;
+            const VarState st = resolve(v);
+            if (st.kind == VarState::Kind::kFixed) {
+                subst_.set(v, Polynomial::constant(st.value));
+            } else if (st.flip) {
+                subst_.set(v, Polynomial::from_sorted(
+                                  {Monomial(), Monomial(st.root)}));
+            } else {
+                subst_.set(v, Polynomial::variable(st.root));
+            }
         }
     }
+    if (subst_.empty()) return std::nullopt;
+    Polynomial out = p;
+    out.apply(subst_);
     return out;
 }
 
-void AnfSystem::store(Polynomial p) {
-    p = normalise(p);
-    if (p.is_zero()) return;
-    if (dedup_.count(p)) return;
-    dedup_.insert(p);
+bool AnfSystem::store(Polynomial p) {
+    if (p.is_zero()) return false;
+    if (!dedup_.insert(p).second) return false;
     const uint32_t idx = static_cast<uint32_t>(polys_.size());
     for (Var v : p.variables()) occ_[v].push_back(idx);
     polys_.push_back(std::move(p));
+    stored_at_.push_back(state_version_);
     removed_.push_back(false);
     queued_.push_back(true);
     queue_.push_back(idx);
+    return true;
 }
 
 bool AnfSystem::add_fact(const Polynomial& p) {
     if (!ok_) return false;
-    const Polynomial n = normalise(p);
-    if (n.is_zero()) return false;
-    if (dedup_.count(n)) return false;
-    store(n);
+    std::optional<Polynomial> n = normalise(p);
+    if (!store(n ? std::move(*n) : p)) return false;
     propagate();
     return true;
 }
@@ -143,6 +148,7 @@ void AnfSystem::restore(const Snapshot& snap) {
         }
     }
     polys_.resize(snap.n_polys);
+    stored_at_.resize(snap.n_polys);
     removed_.resize(snap.n_polys);
     queued_.assign(snap.n_polys, false);
     queue_.clear();
@@ -171,6 +177,7 @@ bool AnfSystem::assign(Var v, bool value) {
     const Var root = (st.kind == VarState::Kind::kFree) ? v : st.root;
     const bool root_value = value ^ st.flip;
     if (trail_on_) trail_states_.push_back(root);
+    ++state_version_;
     states_[root].kind = VarState::Kind::kFixed;
     states_[root].value = root_value;
     touch(root);
@@ -201,19 +208,12 @@ bool AnfSystem::equate(Var a, Var b, bool flip) {
     const Var loser = (occ_[ra].size() <= occ_[rb].size()) ? ra : rb;
     const Var keeper = (loser == ra) ? rb : ra;
     if (trail_on_) trail_states_.push_back(loser);
+    ++state_version_;
     states_[loser].kind = VarState::Kind::kReplaced;
     states_[loser].root = keeper;
     states_[loser].flip = rel;
     touch(loser);
     return true;
-}
-
-void AnfSystem::renormalise(size_t i) {
-    const Polynomial n = normalise(polys_[i]);
-    if (n == polys_[i]) return;
-    mark_unstored(i);
-    mark_removed(i);  // retire the old slot; store() creates a fresh one
-    if (!n.is_zero()) store(n);
 }
 
 bool AnfSystem::analyse(size_t i) {
@@ -268,12 +268,13 @@ bool AnfSystem::propagate() {
         queue_.pop_back();
         queued_[i] = false;
         if (removed_[i]) continue;
-        // Normalise first (states may have changed since queueing)...
-        const Polynomial n = normalise(polys_[i]);
-        if (n != polys_[i]) {
+        // Normalise first (states may have changed since storing)...
+        std::optional<Polynomial> n;
+        if (stored_at_[i] != state_version_) n = normalise(polys_[i]);
+        if (n) {
             mark_unstored(i);
             mark_removed(i);
-            if (!n.is_zero()) store(n);
+            store(std::move(*n));
             continue;  // the fresh copy is queued
         }
         // ...then analyse for facts.

@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <unordered_set>
 #include <vector>
@@ -127,8 +128,11 @@ public:
     std::vector<bool> extend_assignment(const std::vector<bool>& free_values) const;
 
 private:
-    /// Normalise p against variable states. Returns the normalised result.
-    Polynomial normalise(const Polynomial& p) const;
+    /// Normalise p against variable states: every fixed or replaced
+    /// variable goes to its constant or root ^ flip in one substitution
+    /// kernel pass. Returns nullopt when p mentions no such variable (it
+    /// is already normalised).
+    std::optional<Polynomial> normalise(const Polynomial& p);
 
     /// v := value. Returns false on contradiction.
     bool assign(Var v, bool value);
@@ -137,11 +141,9 @@ private:
     bool equate(Var a, Var b, bool flip);
 
     /// Append p (assumed normalised) to the store, updating occurrence
-    /// lists and the dedup set; enqueues it for analysis.
-    void store(Polynomial p);
-
-    /// Re-normalise the polynomial at index i and re-queue it.
-    void renormalise(size_t i);
+    /// lists and the dedup set; enqueues it for analysis. Returns false,
+    /// storing nothing, if p is zero or already present.
+    bool store(Polynomial p);
 
     /// Analyse polys_[i] for propagation facts.
     bool analyse(size_t i);
@@ -150,6 +152,11 @@ private:
     void touch(Var v);
 
     std::vector<Polynomial> polys_;
+    // state_version_ counts variables leaving kFree; stored_at_[i] is its
+    // value when slot i was stored. A slot stored since the last change is
+    // still normalised (restore() only frees variables, which keeps it so).
+    std::vector<uint64_t> stored_at_;
+    uint64_t state_version_ = 0;
     std::vector<bool> removed_;
     std::vector<std::vector<uint32_t>> occ_;  // var -> polynomial indices
     std::vector<VarState> states_;
@@ -159,6 +166,8 @@ private:
     bool ok_ = true;
 
     std::vector<Polynomial> originals_;  // for check_solution
+
+    anf::Substitution subst_;  // normalise()'s map, reused across calls
 
     // Mutation trail for restore(), recorded once the first snapshot is
     // taken: variables whose state left kFree, polynomial slots whose

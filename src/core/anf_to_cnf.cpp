@@ -28,9 +28,9 @@ public:
             return;
         }
         for (const Polynomial& chunk : cut(p)) {
-            const size_t k = chunk.variables().size();
-            if (k <= cfg_.karnaugh_k && k <= 20) {
-                karnaugh(chunk);
+            const std::vector<anf::Var> vars = chunk.variables();
+            if (vars.size() <= cfg_.karnaugh_k && vars.size() <= 20) {
+                karnaugh(chunk, vars);
                 ++res_.karnaugh_polys;
             } else {
                 tseitin(chunk);
@@ -79,9 +79,9 @@ private:
     }
 
     /// Karnaugh-map path: truth-table the chunk over its own variables and
-    /// emit a minimal prime-implicant clause cover.
-    void karnaugh(const Polynomial& p) {
-        const std::vector<anf::Var> vars = p.variables();
+    /// emit a minimal prime-implicant clause cover. `vars` is
+    /// p.variables().
+    void karnaugh(const Polynomial& p, const std::vector<anf::Var>& vars) {
         const unsigned k = static_cast<unsigned>(vars.size());
         if (k == 0) {
             // Constant chunk: p = 1 is an empty clause; p = 0 is a no-op.

@@ -18,9 +18,10 @@ namespace {
 // polynomial: work[s] for s < work.size(), else pending[s - work.size()].
 // count(v) is exact: the number of live slots whose polynomial contains v.
 // A slot list may be stale -- a substitution can cancel v out of a listed
-// polynomial, or list a slot twice when v later reappears -- so whoever
-// visits a list re-checks contains_var. Both tables are indexed by variable
-// id, like AnfSystem's occurrence lists, and reused across rounds.
+// polynomial, or list a slot twice when v later reappears -- so a visit
+// to a slot that no longer contains v rewrites nothing. Both tables are
+// indexed by variable id, like AnfSystem's occurrence lists, and reused
+// across rounds.
 class OccurrenceIndex {
 public:
     void clear() {
@@ -36,22 +37,11 @@ public:
         for (Var v : vars) --count_[v];
     }
 
-    /// The polynomial in `slot` changed from variables `before` to `after`
-    /// (both sorted).
-    void update(const std::vector<Var>& before, const std::vector<Var>& after,
-                uint32_t slot) {
-        size_t i = 0, j = 0;
-        while (i < before.size() || j < after.size()) {
-            if (j == after.size() ||
-                (i < before.size() && before[i] < after[j])) {
-                --count_[before[i++]];
-            } else if (i == before.size() || after[j] < before[i]) {
-                enter(after[j++], slot);
-            } else {
-                ++i;
-                ++j;
-            }
-        }
+    /// The polynomial in `slot` was rewritten, changing its variables by
+    /// `d`.
+    void update(const anf::VarDelta& d, uint32_t slot) {
+        for (Var v : d.removed) --count_[v];
+        for (Var v : d.added) enter(v, slot);
     }
 
     size_t count(Var v) const { return count_[v]; }
@@ -95,6 +85,8 @@ std::vector<Polynomial> run_elimlin(const std::vector<Polynomial>& system,
     size_t iterations = 0;
     size_t eliminated = 0;
     OccurrenceIndex index;
+    anf::Substitution subst;  // best := rest, one entry at a time
+    anf::VarDelta delta;
 
     auto add_fact = [&](const Polynomial& p) {
         if (p.is_zero()) return;
@@ -169,14 +161,12 @@ std::vector<Polynomial> run_elimlin(const std::vector<Polynomial>& system,
             }
             // l = best + rest  =>  best := rest, in every listed polynomial
             // that still contains best; pending[..li] is already consumed.
-            const Polynomial rest = l + Polynomial::variable(best);
+            subst.clear();
+            subst.set(best, l + Polynomial::variable(best));
             for (uint32_t s : index.take(best)) {
                 if (s >= n_work && s - n_work <= li) continue;
                 Polynomial& q = s < n_work ? work[s] : pending[s - n_work];
-                if (!q.contains_var(best)) continue;
-                const std::vector<Var> before = q.variables();
-                q = q.substitute(best, rest);
-                index.update(before, q.variables(), s);
+                if (q.apply(subst, &delta)) index.update(delta, s);
             }
             ++eliminated;
         }

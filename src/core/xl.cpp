@@ -108,14 +108,7 @@ std::vector<Polynomial> expand_xl(const std::vector<Polynomial>& system,
                      });
 
     // Variables of the sampled subsystem are the multiplier alphabet.
-    std::vector<Var> vars;
-    {
-        std::unordered_set<Var> seen;
-        for (const auto& p : sampled)
-            for (Var v : p.variables()) seen.insert(v);
-        vars.assign(seen.begin(), seen.end());
-        std::sort(vars.begin(), vars.end());
-    }
+    const std::vector<Var> vars = anf::variables(sampled);
 
     // Multipliers are enumerated lazily (ascending deg-lex, as before)
     // and the ones actually reached are cached as interned ids, shared

@@ -6,6 +6,10 @@
 #include <utility>
 
 #include "anf/anf_parser.h"
+#include "core/elimlin.h"
+#include "core/xl.h"
+#include "crypto/aes_small.h"
+#include "crypto/simon.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -145,6 +149,70 @@ TEST(AnfSystem, ToPolynomialsRoundTripsSolutions) {
     const auto before = testutil::anf_models(parsed.polynomials, 4);
     const auto after = testutil::anf_models(sys.to_polynomials(), 4);
     EXPECT_EQ(before, after);
+}
+
+TEST(AnfSystem, GoldenSimonAndSr) {
+    // A fixed Simon-[9,7] and SR(2,2,2,4) instance, then their XL and
+    // ElimLin facts and ten witness bits, fed through add_fact. Pinned:
+    // an order-sensitive fold of the processed system, the fixed/replaced
+    // counts and how many facts were fresh. Propagation may get faster,
+    // never different.
+    struct Golden {
+        uint64_t fold;
+        size_t fixed;
+        size_t replaced;
+        size_t fresh;
+    };
+    const Golden golden[] = {
+        {0x43292793aa290083ULL, 100, 154, 136},
+        {0xf4f2d48843447119ULL, 28, 20, 66},
+    };
+    for (const bool simon : {true, false}) {
+        Rng rng(2024);
+        std::vector<Polynomial> polys;
+        std::vector<bool> witness;
+        if (simon) {
+            auto inst = crypto::Simon32(7).encode(9, rng);
+            polys = std::move(inst.polys);
+            witness = std::move(inst.witness);
+        } else {
+            auto inst =
+                crypto::SmallScaleAes({2, 2, 2, 4}).random_instance(rng);
+            polys = std::move(inst.polys);
+            witness = std::move(inst.witness);
+        }
+        XlConfig xl_cfg;
+        xl_cfg.m_budget = 20;
+        Rng xl_rng(7);
+        ElimLinConfig el_cfg;
+        el_cfg.m_budget = 20;
+        Rng el_rng(5);
+        std::vector<Polynomial> facts = run_xl(polys, xl_cfg, xl_rng);
+        for (auto& f : run_elimlin(polys, el_cfg, el_rng))
+            facts.push_back(std::move(f));
+        // Then ten witness bits, so constants cascade through the
+        // replaced variables too.
+        for (anf::Var v = 0; v < 10; ++v) {
+            Polynomial f = Polynomial::variable(v);
+            if (witness[v]) f += Polynomial::constant(true);
+            facts.push_back(std::move(f));
+        }
+
+        AnfSystem sys(polys, witness.size());
+        size_t fresh = 0;
+        for (const auto& f : facts) fresh += sys.add_fact(f);
+        uint64_t fold = 0;
+        for (const auto& p : sys.to_polynomials())
+            fold = (fold ^ p.hash()) * 0x100000001B3ULL;
+
+        const char* name = simon ? "simon" : "sr";
+        const Golden& want = golden[simon ? 0 : 1];
+        EXPECT_TRUE(sys.okay()) << name;
+        EXPECT_EQ(fold, want.fold) << name;
+        EXPECT_EQ(sys.num_fixed(), want.fixed) << name;
+        EXPECT_EQ(sys.num_replaced(), want.replaced) << name;
+        EXPECT_EQ(fresh, want.fresh) << name;
+    }
 }
 
 // Property sweep: propagation preserves the solution set exactly.

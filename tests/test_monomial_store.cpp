@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "anf/monomial.h"
@@ -142,6 +143,69 @@ TEST(MonomialStore, HashMatchesLegacyChain) {
         for (Var v : vs) h = (h ^ v) * 0x100000001B3ULL;
         EXPECT_EQ(store.hash(store.intern(vs)), h);
     }
+}
+
+// compare() decides on the cached order key first; the key saturates on
+// huge variables and degrees, where the full comparison must take over.
+TEST(MonomialStore, CompareMatchesDegLexBeyondOrderKeyRange) {
+    MonomialStore store;
+    const Var big = (Var{1} << 28) - 2;  // straddles the key's clamp
+    Rng rng(11);
+    std::vector<std::vector<Var>> sets;
+    for (int i = 0; i < 300; ++i) {
+        std::vector<Var> vs;
+        const size_t d = rng.below(5);
+        for (size_t j = 0; j < d; ++j) {
+            const Var v = static_cast<Var>(rng.below(4));
+            vs.push_back(rng.below(2) ? v : big + v);
+        }
+        sets.push_back(canonical(vs));
+    }
+    for (Var base : {Var{0}, big}) {  // degrees around the key's cap
+        for (size_t d : {254, 255, 256}) {
+            std::vector<Var> vs(d);
+            for (size_t j = 0; j < d; ++j) vs[j] = base + static_cast<Var>(j);
+            sets.push_back(vs);
+            vs.back() += 1;
+            sets.push_back(vs);
+        }
+    }
+    auto reference = [](const std::vector<Var>& a, const std::vector<Var>& b) {
+        if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
+        if (a == b) return 0;
+        return a < b ? -1 : 1;
+    };
+    for (const auto& a : sets) {
+        for (const auto& b : sets) {
+            const MonoId ia = store.intern(a), ib = store.intern(b);
+            ASSERT_EQ(store.compare(ia, ib), reference(a, b));
+            if (store.order_key(ia) < store.order_key(ib))
+                ASSERT_LT(reference(a, b), 0) << "order key not monotone";
+        }
+    }
+}
+
+// At its entry cap the store refuses fresh monomials in every build, from
+// every interning path, and stays usable for the ones it has.
+TEST(MonomialStore, ExhaustionThrowsInsteadOfOverrunning) {
+    MonomialStore store(5);  // the constant 1 plus four more
+    const MonoId x0 = store.intern({0});
+    const MonoId x1 = store.intern({1});
+    const MonoId x2 = store.intern_var(2);
+    const MonoId x012 = store.intern({0, 1, 2});
+    ASSERT_EQ(store.size(), 5u);
+
+    EXPECT_THROW(store.intern({3}), std::length_error);
+    EXPECT_THROW(store.intern_var(3), std::length_error);
+    EXPECT_THROW(store.mul(x0, x1), std::length_error);         // x0*x1
+    EXPECT_THROW(store.without(x012, 2), std::length_error);    // x0*x1
+    EXPECT_THROW(store.quotient(x012, x2), std::length_error);  // x0*x1
+    EXPECT_EQ(store.size(), 5u) << "a refused intern must not grow the store";
+
+    EXPECT_EQ(store.intern({1}), x1);
+    EXPECT_EQ(store.mul(x0, x012), x012);
+    EXPECT_EQ(store.without(x0, 0), kMonoOne);
+    EXPECT_EQ(store.vars(x012), (std::vector<Var>{0, 1, 2}));
 }
 
 TEST(MonomialStore, GlobalStoreIsAppendOnly) {

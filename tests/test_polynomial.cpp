@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "anf/anf_parser.h"
@@ -117,6 +119,12 @@ TEST(Polynomial, DegreeAndLinear) {
 TEST(Polynomial, Variables) {
     EXPECT_EQ(P("x1*x3 + x2 + 1").variables(), (std::vector<Var>{0, 1, 2}));
     EXPECT_TRUE(P("1").variables().empty());
+    EXPECT_EQ(P("x9*x2 + x7*x8*x3 + x1").variables(),
+              (std::vector<Var>{0, 1, 2, 6, 7, 8}));
+    EXPECT_EQ(variables({P("x5*x2 + 1"), P("x3 + x2"), P("0")}),
+              (std::vector<Var>{1, 2, 4}));
+    EXPECT_EQ(P("x9*x2 + x7*x8*x3 + x1").var_bound(), 9u);
+    EXPECT_EQ(P("1").var_bound(), 0u);
     EXPECT_TRUE(P("x1*x3 + x2").contains_var(2));
     EXPECT_FALSE(P("x1*x3 + x2").contains_var(3));
 }
@@ -192,8 +200,26 @@ TEST_P(PolynomialRandom, SubstitutionCommutesWithEvaluation) {
     }
 }
 
-// substitute() keeps the untouched monomials as they are, without
-// re-sorting; the result must still equal the fully canonicalised sum.
+// The kernel's removed/added report must be exactly the difference of the
+// variable sets before and after.
+void expect_delta(const Polynomial& before, const Polynomial& after,
+                  const VarDelta& d) {
+    const std::vector<Var> b = before.variables(), a = after.variables();
+    std::vector<Var> removed, added;
+    std::set_difference(b.begin(), b.end(), a.begin(), a.end(),
+                        std::back_inserter(removed));
+    std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
+                        std::back_inserter(added));
+    EXPECT_EQ(d.removed, removed) << before.to_string() << " -> " << after.to_string();
+    EXPECT_EQ(d.added, added) << before.to_string() << " -> " << after.to_string();
+}
+
+// The kernel keeps the untouched monomials as they are, without
+// re-sorting; the result must still equal the fully canonicalised
+// composition. Single-entry maps (ElimLin's best := rest) against
+// untouched + quotient * by; multi-entry maps (normalise's constants and
+// root ^ flip, where a root may occur in p or be mapped itself, and
+// general images) against the term-by-term product of images.
 TEST_P(PolynomialRandom, SubstituteMatchesCanonicalisedReference) {
     Rng rng(GetParam() + 1000);
     const unsigned nv = 6;
@@ -208,10 +234,82 @@ TEST_P(PolynomialRandom, SubstituteMatchesCanonicalisedReference) {
                 untouched.push_back(m);
             }
         }
-        EXPECT_EQ(p.substitute(v, by),
-                  Polynomial(untouched) + Polynomial(quotients) * by)
+        const Polynomial want = Polynomial(untouched) + Polynomial(quotients) * by;
+        EXPECT_EQ(p.substitute(v, by), want)
             << p.to_string() << " with x" << v + 1 << " := " << by.to_string();
+        Substitution s;
+        s.set(v, by);
+        Polynomial got = p;
+        VarDelta d;
+        EXPECT_EQ(got.apply(s, &d), p.contains_var(v));
+        EXPECT_EQ(got, want);
+        expect_delta(p, got, d);
     }
+
+    for (int round = 0; round < 12; ++round) {
+        Substitution s;
+        std::vector<Polynomial> image(nv);
+        std::vector<bool> mapped(nv, false);
+        for (Var v = 0; v < nv; ++v) {
+            if (rng.below(2)) continue;
+            switch (rng.below(round < 8 ? 3 : 4)) {
+                case 0:  // a constant
+                    image[v] = Polynomial::constant(rng.below(2));
+                    break;
+                case 1:
+                case 2: {  // root ^ flip; the root may occur in p
+                    image[v] = Polynomial::variable(static_cast<Var>(rng.below(nv)));
+                    if (rng.below(2)) image[v] += Polynomial::constant(true);
+                    break;
+                }
+                default:
+                    image[v] = random_poly(rng, nv, 3, 2);
+                    break;
+            }
+            mapped[v] = true;
+            s.set(v, image[v]);
+        }
+        Polynomial want;
+        bool touched = false;
+        for (const Monomial& m : p.monomials()) {
+            Polynomial term = Polynomial::constant(true);
+            for (Var v : m.vars()) {
+                term = term * (mapped[v] ? image[v] : Polynomial::variable(v));
+                touched = touched || mapped[v];
+            }
+            want += term;
+        }
+        Polynomial got = p;
+        VarDelta d;
+        EXPECT_EQ(got.apply(s, &d), touched);
+        EXPECT_EQ(got, want) << p.to_string() << ", round " << round;
+        expect_delta(p, got, d);
+        if (!touched) EXPECT_EQ(got, p);
+    }
+}
+
+TEST(Polynomial, ApplyAnnihilatingFlips) {
+    // x1 := x3 + 1, x2 := x3: x1*x2 = (x3 + 1)*x3 = x3 + x3 = 0.
+    Substitution s;
+    s.set(0, P("x3 + 1"));
+    s.set(1, P("x3"));
+    Polynomial p = P("x1*x2 + x4");
+    VarDelta d;
+    EXPECT_TRUE(p.apply(s, &d));
+    EXPECT_EQ(p, P("x4"));
+    EXPECT_EQ(d.removed, (std::vector<Var>{0, 1}));
+    EXPECT_TRUE(d.added.empty());
+    // The root x3 already occurs: x1*x3 + x3 = (x3 + 1)*x3 + x3 = x3.
+    Polynomial q = P("x1*x3 + x3 + x4");
+    EXPECT_TRUE(q.apply(s, &d));
+    EXPECT_EQ(q, P("x3 + x4"));
+    EXPECT_EQ(d.removed, (std::vector<Var>{0}));
+    EXPECT_TRUE(d.added.empty());
+    // A map that touches nothing leaves p, and the report, empty-handed.
+    Polynomial r = P("x4*x5 + 1");
+    EXPECT_FALSE(r.apply(s, &d));
+    EXPECT_EQ(r, P("x4*x5 + 1"));
+    EXPECT_TRUE(d.removed.empty() && d.added.empty());
 }
 
 TEST_P(PolynomialRandom, RingAxioms) {
