@@ -53,7 +53,6 @@ EngineConfig bench_config(uint64_t seed, double timeout_s) {
     cfg.max_iterations = 12;
     cfg.time_budget_s = timeout_s;
     cfg.seed = seed;
-    cfg.emit_processed = false;  // the race only consumes verdicts
     return cfg;
 }
 

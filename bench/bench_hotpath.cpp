@@ -23,7 +23,11 @@
 // substitution (untouched terms + quotient * by, canonicalised) time over
 // the in-place substitution kernel's (Polynomial::apply) on the
 // substitutions the interned arm's ElimLin loop performs (both must give
-// the same polynomial, or the harness exits nonzero). Pass --legacy-terms
+// the same polynomial, or the harness exits nonzero). The fourth is
+// `karnaugh_memo_over_direct`: the time to convert SR(2,2,2,4) systems to
+// CNF with every Karnaugh cover taken from the warm process-wide memo,
+// against the same conversion calling the minimiser for every chunk (the
+// clauses must match, or the harness exits nonzero). Pass --legacy-terms
 // to time only the legacy arm.
 //
 // Knobs (defaults tuned so the term algebra, not the shared GF(2)
@@ -50,6 +54,8 @@
 #include "anf/polynomial.h"
 #include "bosphorus/bosphorus.h"
 #include "cnfgen/generators.h"
+#include "core/anf_to_cnf.h"
+#include "crypto/aes_small.h"
 #include "gf2/gf2_matrix.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -510,6 +516,54 @@ int main(int argc, char** argv) {
     const double subst_over_reference =
         subst_kernel_s > 0 ? subst_reference_s / subst_kernel_s : 0.0;
 
+    // ---- ANF -> CNF conversion of SR(2,2,2,4) systems with the warm
+    // Karnaugh memo vs a memo that holds nothing (every chunk calls the
+    // minimiser), alternating per pass, 10 passes per repetition. Both
+    // must emit the same clauses.
+    double memo_s = 0.0, direct_s = 0.0;
+    bool conv_identical = true;
+    size_t karnaugh_chunks = 0;
+    if (!legacy_only) {
+        std::vector<std::vector<IPoly>> sr_systems;
+        std::vector<size_t> sr_vars;
+        Rng sr_rng(seed * 0x9E3779B9ULL + 11);
+        for (size_t i = 0; i < instances; ++i) {
+            auto inst = bosphorus::crypto::SmallScaleAes({2, 2, 2, 4})
+                            .random_instance(sr_rng);
+            sr_vars.push_back(inst.witness.size());
+            sr_systems.push_back(std::move(inst.polys));
+        }
+        bosphorus::core::KarnaughMemo direct(0);
+        auto& memo = bosphorus::core::KarnaughMemo::shared();
+        const bosphorus::core::Anf2CnfConfig conv;
+        for (size_t i = 0; i < sr_systems.size(); ++i) {  // warm the memo
+            karnaugh_chunks +=
+                bosphorus::core::anf_to_cnf(sr_systems[i], sr_vars[i], conv,
+                                            memo)
+                    .karnaugh_polys;
+        }
+        for (size_t rep = 0; rep < 10 * reps; ++rep) {
+            for (size_t i = 0; i < sr_systems.size(); ++i) {
+                Timer tm;
+                const auto warm = bosphorus::core::anf_to_cnf(
+                    sr_systems[i], sr_vars[i], conv, memo);
+                memo_s += tm.seconds();
+                Timer td;
+                const auto cold = bosphorus::core::anf_to_cnf(
+                    sr_systems[i], sr_vars[i], conv, direct);
+                direct_s += td.seconds();
+                conv_identical = conv_identical &&
+                                 warm.cnf.num_vars == cold.cnf.num_vars &&
+                                 warm.cnf.clauses == cold.cnf.clauses;
+            }
+        }
+        if (!conv_identical)
+            std::fprintf(stderr,
+                         "memoised and direct conversion emitted different "
+                         "clauses\n");
+    }
+    const double memo_over_direct = memo_s > 0 ? direct_s / memo_s : 0.0;
+
     // ---- equivalence: facts and derived verdicts must be bit-identical.
     bool facts_identical = true;
     bool verdicts_identical = true;
@@ -597,6 +651,11 @@ int main(int argc, char** argv) {
         subst_cases, subst_kernel_s, subst_reference_s,
         subst_identical ? "true" : "false");
     add("  \"subst_kernel_over_reference\": %.3f,\n", subst_over_reference);
+    add("  \"karnaugh\": {\"chunks\": %zu, \"memo_seconds\": %.4f, "
+        "\"direct_seconds\": %.4f, \"identical\": %s},\n",
+        karnaugh_chunks, memo_s, direct_s,
+        conv_identical ? "true" : "false");
+    add("  \"karnaugh_memo_over_direct\": %.3f,\n", memo_over_direct);
     add("  \"facts_identical\": %s,\n  \"verdicts_identical\": %s,\n",
         facts_identical ? "true" : "false",
         verdicts_identical ? "true" : "false");
@@ -612,7 +671,7 @@ int main(int argc, char** argv) {
     else std::fprintf(stderr, "warning: cannot write %s\n", json_path);
 
     return (facts_identical && verdicts_identical && elim_identical &&
-            subst_identical)
+            subst_identical && conv_identical)
                ? 0
                : 1;
 }

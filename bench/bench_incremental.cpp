@@ -54,7 +54,6 @@ EngineConfig bench_config(uint64_t seed) {
     cfg.max_iterations = 12;
     cfg.time_budget_s = 30.0;
     cfg.seed = seed;
-    cfg.emit_processed = false;  // the sweep only consumes verdicts
     return cfg;
 }
 

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
         // Back-end solvers are registry specs now: swap "cms" for
         // "minisat", "lingeling" or "dimacs-exec:<cmd>" to race other
         // back ends on the processed CNF.
-        const auto so = sat::solve_cnf_with(res.processed_cnf.cnf, "cms",
+        const auto so = sat::solve_cnf_with(res.to_cnf(cfg.conv).cnf, "cms",
                                             /*timeout_s=*/300.0);
         if (!so.ok() || so->result != sat::Result::kSat) {
             std::printf("solver did not finish\n");

@@ -69,16 +69,15 @@ int main() {
 
         // The processed CNF (internal ANF + facts) can be written to DIMACS
         // and handed to any external solver.
+        const sat::Cnf processed = res.to_cnf(cfg.conv).cnf;
         std::ostringstream dimacs;
-        sat::write_dimacs(dimacs, res.processed_cnf.cnf);
+        sat::write_dimacs(dimacs, processed);
         std::printf("  processed CNF: %zu vars, %zu clauses (DIMACS %zu "
                     "bytes)\n",
-                    res.processed_cnf.cnf.num_vars,
-                    res.processed_cnf.cnf.clauses.size(),
+                    processed.num_vars, processed.clauses.size(),
                     dimacs.str().size());
 
-        const auto so = sat::solve_cnf_with(res.processed_cnf.cnf,
-                                            "lingeling", 60.0);
+        const auto so = sat::solve_cnf_with(processed, "lingeling", 60.0);
         if (!so.ok()) {
             std::printf("  backend error: %s\n",
                         so.status().to_string().c_str());

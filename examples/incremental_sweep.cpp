@@ -43,7 +43,6 @@ int main(int argc, char** argv) {
     cfg.sat_conflicts_start = 2'000;
     cfg.max_iterations = 12;
     cfg.time_budget_s = 30.0;
-    cfg.emit_processed = false;  // we only want verdicts
 
     Session session(base, cfg);  // the base is simplified exactly once
     size_t recovered = 0;

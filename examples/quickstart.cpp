@@ -75,10 +75,10 @@ int main() {
     } else if (res.verdict == sat::Result::kUnsat) {
         std::printf("\nUNSAT (1 = 0 derived)\n");
     } else {
+        const sat::Cnf cnf = res.to_cnf(cfg.conv).cnf;
         std::printf("\nfixed point reached; processed CNF has %zu vars, "
                     "%zu clauses -- hand it to any SAT solver\n",
-                    res.processed_cnf.cnf.num_vars,
-                    res.processed_cnf.cnf.clauses.size());
+                    cnf.num_vars, cnf.clauses.size());
     }
     return 0;
 }

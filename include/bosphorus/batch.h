@@ -86,8 +86,8 @@ struct PortfolioReport {
     /// the entry that learnt the most facts, ties broken by lowest index.
     size_t winner = 0;
     std::string winner_name;  ///< entries[winner].name
-    /// The winning entry's full Report (verdict, solution, processed
-    /// ANF/CNF, tallies).
+    /// The winning entry's full Report (verdict, solution, processed ANF,
+    /// tallies).
     Report report;
     /// Per-entry summaries, in entry order (losers included).
     std::vector<PortfolioOutcome> outcomes;

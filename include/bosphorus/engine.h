@@ -8,8 +8,8 @@
 /// SAT -- until a fixed point, a decision (SAT model found / 1 = 0
 /// derived), the iteration cap, the time budget, an interrupt, or a
 /// cancellation. The result is a `Report`: verdict, solution, the
-/// processed ANF/CNF augmented with every learnt fact, and per-technique
-/// tallies.
+/// processed ANF augmented with every learnt fact (Report::to_cnf converts
+/// it on request), and per-technique tallies.
 ///
 /// Hooks: `set_interrupt_callback` and `set_cancellation_token` are
 /// polled before every technique step *and* inside steps at technique
@@ -49,7 +49,9 @@ struct PortfolioReport;
 struct EngineConfig {
     core::XlConfig xl;            ///< D = 1, M = 30, deltaM = 4
     core::ElimLinConfig elimlin;  ///< shares M = 30
-    core::Anf2CnfConfig conv;     ///< K = 8, L = 5
+    /// K = 8, L = 5. K above 20 or L outside [3, 24] cannot be honoured:
+    /// Engine::run and Session::solve then fail with kInvalidArgument.
+    core::Anf2CnfConfig conv;
 
     unsigned clause_cut = 5;  ///< L' for CNF -> ANF
 
@@ -127,12 +129,6 @@ struct EngineConfig {
     /// independent of scheduling.
     uint64_t seed = 1;
     int verbosity = 0;  ///< 0 silent; higher = more stderr logging
-
-    /// Populate Report::processed_anf / processed_cnf after the loop. The
-    /// CNF conversion is a fixed per-run cost; sweep workloads that only
-    /// consume verdicts/solutions (Session re-solves,
-    /// BatchEngine::solve_all_incremental) can turn it off.
-    bool emit_processed = true;
 };
 
 /// Live counters handed to the progress callback after every technique step.
@@ -174,8 +170,12 @@ struct Report {
 
     /// The processed system: live equations plus variable-state equations.
     std::vector<anf::Polynomial> processed_anf;
-    /// CNF of the processed system (includes all learnt facts).
-    core::Anf2CnfResult processed_cnf;
+    /// Plain, DIMACS-compatible CNF of `processed_anf` (so it carries every
+    /// learnt fact), converted under `conv` -- pass the run's
+    /// EngineConfig::conv -- with XOR chunks always spelled as clauses.
+    /// Runs the ANF -> CNF conversion on every call: nothing on the solve
+    /// path converts unless a caller asks here.
+    core::Anf2CnfResult to_cnf(const core::Anf2CnfConfig& conv) const;
 
     /// Per-technique tallies, in registry order.
     std::vector<TechniqueTally> techniques;

@@ -67,7 +67,7 @@ struct ServiceConfig {
     /// techniques -- is fixed service-wide so results stay reproducible
     /// across tenants. Warm sessions are constructed with exactly this
     /// config (see `open_session`). Jobs are verdict-only: the service
-    /// clears `emit_processed`, whatever it is set to here.
+    /// drops each job's processed ANF before it keeps the outcome.
     EngineConfig engine;
 
     /// Run each one-shot job as a *cooperative* portfolio race instead of
@@ -183,8 +183,8 @@ struct JobOutcome {
     Status error;
     /// The engine Report (partial for kExpired/kCancelled mid-run; empty
     /// for jobs cancelled while still queued or failed before running).
-    /// `report.processed_anf` and `report.processed_cnf` are always empty:
-    /// service jobs run verdict-only.
+    /// `report.processed_anf` is always empty: service jobs are
+    /// verdict-only.
     Report report;
     double queued_s = 0.0;   ///< time spent waiting for a worker
     double run_s = 0.0;      ///< time spent executing (0 if never ran)

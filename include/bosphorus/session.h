@@ -134,7 +134,9 @@ public:
     /// Engine::run; later calls are warm re-solves (techniques are told
     /// via Technique::reset_for_resolve and may keep per-base state).
     /// Interrupt, timeout and cancellation yield a partial Report exactly
-    /// as Engine::run does, and leave the Session reusable.
+    /// as Engine::run does, and leave the Session reusable. A config the
+    /// ANF -> CNF converter cannot honour (see EngineConfig::conv) fails
+    /// every call with kInvalidArgument.
     Result<Report> solve();
 
     /// solve() calls completed so far (the first is the cold one).
@@ -220,6 +222,7 @@ private:
     runtime::CancellationToken cancel_;
     size_t solves_done_ = 0;
     double setup_seconds_ = 0.0;  // construction cost, charged to solve #1
+    Status config_error_;  // a config the converter cannot honour
     bool enable_warm_ = true;  // off for Engine's throwaway sessions
     bool needs_bind_ = true;   // base changed (or never bound)
     bool bound_ = false;       // bind_base has reached the registry

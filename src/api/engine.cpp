@@ -37,6 +37,12 @@ size_t Report::total_facts() const {
     return total;
 }
 
+core::Anf2CnfResult Report::to_cnf(const core::Anf2CnfConfig& conv) const {
+    core::Anf2CnfConfig plain = conv;
+    plain.native_xor = false;
+    return core::anf_to_cnf(processed_anf, num_vars, plain);
+}
+
 // ---- Engine ----------------------------------------------------------------
 
 std::vector<std::unique_ptr<Technique>> make_default_techniques(

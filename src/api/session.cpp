@@ -5,6 +5,7 @@
 #include "bosphorus/session.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "bosphorus/bosphorus.h"
@@ -61,6 +62,8 @@ Session::Session(Materialized m, EngineConfig cfg, bool build_registry,
       num_vars_(m.num_vars),
       num_original_vars_(m.num_original_vars),
       enable_warm_(enable_warm) {
+    if (const std::string bad = cfg_.conv.check(); !bad.empty())
+        config_error_ = Status::invalid_argument("EngineConfig::conv: " + bad);
     if (build_registry) techniques_ = make_default_techniques(cfg_);
     // Covers CNF conversion *and* the master system's initial propagation
     // (the sys_ member construction above).
@@ -169,7 +172,9 @@ Session& Session::set_cancellation_token(runtime::CancellationToken token) {
 // ---- warm-base bookkeeping -------------------------------------------------
 
 void Session::rebind_if_needed() {
-    if (!enable_warm_ || !needs_bind_ || !frames_.empty()) return;
+    if (!enable_warm_ || !needs_bind_ || !frames_.empty() ||
+        !config_error_.ok())
+        return;
     const std::vector<Polynomial> base = sys_.to_polynomials();
     for (const auto& t : techniques_) t->bind_base(base, num_vars_);
     needs_bind_ = false;
@@ -240,6 +245,7 @@ size_t Session::coop_publish_anf() {
 // ---- the fact-learning loop ------------------------------------------------
 
 Result<Report> Session::solve() {
+    if (!config_error_.ok()) return config_error_;
     Timer timer;
     // The first solve is charged the session's construction cost, so a
     // one-shot run (Engine::run) budgets and reports materialisation +
@@ -355,13 +361,7 @@ Result<Report> Session::solve() {
 
     if (!sys_.okay()) rep.verdict = sat::Result::kUnsat;
 
-    if (cfg_.emit_processed) {
-        rep.processed_anf = sys_.to_polynomials();
-        core::Anf2CnfConfig out_cfg = cfg_.conv;
-        out_cfg.native_xor = false;  // emitted CNF is plain DIMACS-compatible
-        rep.processed_cnf =
-            core::anf_to_cnf(rep.processed_anf, num_vars_, out_cfg);
-    }
+    rep.processed_anf = sys_.to_polynomials();
     rep.vars_fixed = sys_.num_fixed();
     rep.vars_replaced = sys_.num_replaced();
     rep.seconds = elapsed();

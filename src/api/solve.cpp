@@ -57,7 +57,8 @@ Result<SolveOutcome> solve_anf(const std::vector<Polynomial>& polys,
     Timer timer;
     SolveOutcome out;
 
-    std::vector<Polynomial> to_convert;
+    // Back-end solvers receive plain CNF.
+    core::Anf2CnfResult conv;
     if (cfg.preprocess) {
         Report rep;
         bool decided = false;
@@ -67,16 +68,10 @@ Result<SolveOutcome> solve_anf(const std::vector<Polynomial>& polys,
             out.seconds = timer.seconds();
             return out;
         }
-        to_convert = std::move(rep.processed_anf);
+        conv = rep.to_cnf(cfg.engine.conv);
     } else {
-        to_convert = polys;
+        conv = core::anf_to_cnf(polys, num_vars);
     }
-
-    core::Anf2CnfConfig conv_cfg =
-        cfg.preprocess ? cfg.engine.conv : core::Anf2CnfConfig{};
-    conv_cfg.native_xor = false;  // back-end solvers receive plain CNF
-    const core::Anf2CnfResult conv =
-        core::anf_to_cnf(to_convert, num_vars, conv_cfg);
 
     const double remaining = std::max(0.1, cfg.timeout_s - timer.seconds());
     const Result<sat::CnfSolveOutcome> so =

@@ -97,8 +97,8 @@ void usage() {
         "parameters (paper section IV defaults):\n"
         "  -M N            XL/ElimLin sample budget exponent (30)\n"
         "  -D N            XL expansion degree (1)\n"
-        "  -K N            Karnaugh variable limit (8)\n"
-        "  -L N            XOR cutting length (5)\n"
+        "  -K N            Karnaugh variable limit (8, at most 20)\n"
+        "  -L N            XOR cutting length (5, from 3 to 24)\n"
         "  --lp N          clause cutting length L' (5)\n"
         "  -C N            SAT conflict budget start (10000)\n"
         "  --maxiters N    max outer-loop iterations (64)\n"
@@ -219,6 +219,7 @@ struct OutputOptions {
     std::string anf_out;
     bool solve_after = false;
     sat::SolverSpec solver;
+    core::Anf2CnfConfig conv;  ///< -K / -L, for the processed CNF
 };
 int finish_run(const Report& res, const OutputOptions& out_opt,
                size_t problem_vars);
@@ -405,6 +406,8 @@ int run(int argc, char** argv) {
             sat::SolverSpec{opt.sat_backend});
         if (!probe.ok()) return fail(probe.status());
     }
+    if (const std::string bad = opt.conv.check(); !bad.empty())
+        return fail(Status::invalid_argument(bad));
 
     Result<Problem> problem = anf_in.empty()
                                   ? Problem::from_cnf_file(cnf_in)
@@ -417,6 +420,7 @@ int run(int argc, char** argv) {
     out_opt.anf_out = anf_out;
     out_opt.solve_after = solve_after;
     out_opt.solver = solver_spec;
+    out_opt.conv = opt.conv;
 
     if (!sweep_file.empty()) {
         if (portfolio_mode || solve_after || !cnf_out.empty() ||
@@ -462,11 +466,17 @@ int finish_run(const Report& res, const OutputOptions& out_opt,
             return fail(Status::io_error("cannot write " + out_opt.anf_out));
         anf::write_system(out, res.processed_anf);
     }
+    // The processed CNF is converted only when something reads it.
+    const bool run_backend =
+        out_opt.solve_after && res.verdict == sat::Result::kUnknown;
+    core::Anf2CnfResult cnf;
+    if (!out_opt.cnf_out.empty() || run_backend)
+        cnf = res.to_cnf(out_opt.conv);
     if (!out_opt.cnf_out.empty()) {
         std::ofstream out(out_opt.cnf_out);
         if (!out)
             return fail(Status::io_error("cannot write " + out_opt.cnf_out));
-        sat::write_dimacs(out, res.processed_cnf.cnf);
+        sat::write_dimacs(out, cnf.cnf);
     }
 
     if (res.verdict == sat::Result::kUnsat) {
@@ -479,9 +489,9 @@ int finish_run(const Report& res, const OutputOptions& out_opt,
         return 10;
     }
 
-    if (out_opt.solve_after) {
+    if (run_backend) {
         const Result<sat::CnfSolveOutcome> so =
-            sat::solve_cnf_with(res.processed_cnf.cnf, out_opt.solver);
+            sat::solve_cnf_with(cnf.cnf, out_opt.solver);
         if (!so.ok()) return fail(so.status());
         if (so->result == sat::Result::kUnsat) {
             std::puts("s UNSATISFIABLE");
@@ -635,11 +645,8 @@ int run_sweep(const Problem& problem, const EngineConfig& opt,
         return 2;
     }
 
-    EngineConfig sweep_opt = opt;
-    sweep_opt.emit_processed = false;  // sweeps only consume verdicts
-
     const Timer timer;
-    BatchEngine batch(sweep_opt);
+    BatchEngine batch(opt);
     const std::vector<Result<Report>> results =
         batch.solve_all_incremental(problem, candidates, n_threads);
 

@@ -2,19 +2,71 @@
 
 #include <algorithm>
 #include <cassert>
-
-#include "minimize/quine_mccluskey.h"
+#include <stdexcept>
 
 namespace bosphorus::core {
 
 using anf::Monomial;
 using anf::Polynomial;
 
+std::string Anf2CnfConfig::check() const {
+    if (karnaugh_k > kMaxKarnaughK)
+        return "Karnaugh size K = " + std::to_string(karnaugh_k) +
+               " exceeds " + std::to_string(kMaxKarnaughK);
+    if (xor_cut < kMinXorCut || xor_cut > kMaxXorCut)
+        return "XOR-cut length L = " + std::to_string(xor_cut) +
+               " outside [" + std::to_string(kMinXorCut) + ", " +
+               std::to_string(kMaxXorCut) + "]";
+    return {};
+}
+
+// ---- KarnaughMemo ----------------------------------------------------------
+
+KarnaughMemo& KarnaughMemo::shared() {
+    static KarnaughMemo memo;
+    return memo;
+}
+
+size_t KarnaughMemo::KeyHash::operator()(const Key& key) const {
+    uint64_t h = key.k;
+    for (const uint64_t w : key.table) h = (h ^ w) * 0x9E3779B97F4A7C15ULL;
+    return static_cast<size_t>(h ^ (h >> 32));
+}
+
+std::vector<minimize::Implicant> KarnaughMemo::cover(
+    const std::vector<bool>& on_set, unsigned k) {
+    const bool memoised = k <= kMaxK && capacity_ > 0;
+    Key key;
+    if (memoised) {
+        key.k = k;
+        for (size_t m = 0; m < on_set.size(); ++m)
+            if (on_set[m]) key.table[m >> 6] |= uint64_t{1} << (m & 63);
+        const std::lock_guard<std::mutex> lock(mu_);
+        const auto it = covers_.find(key);
+        if (it != covers_.end()) return it->second;
+    }
+    std::vector<minimize::Implicant> cover = minimize::minimize_sop(on_set, k);
+    if (memoised) {
+        const std::lock_guard<std::mutex> lock(mu_);
+        if (covers_.size() >= capacity_) covers_.clear();
+        covers_.emplace(key, cover);
+    }
+    return cover;
+}
+
+size_t KarnaughMemo::size() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return covers_.size();
+}
+
+// ---- the converter ---------------------------------------------------------
+
 namespace {
 
 class Converter {
 public:
-    Converter(size_t num_vars, const Anf2CnfConfig& cfg) : cfg_(cfg) {
+    Converter(size_t num_vars, const Anf2CnfConfig& cfg, KarnaughMemo& memo)
+        : cfg_(cfg), memo_(memo) {
         res_.num_anf_vars = num_vars;
         res_.cnf.num_vars = num_vars;
     }
@@ -29,7 +81,7 @@ public:
         }
         for (const Polynomial& chunk : cut(p)) {
             const std::vector<anf::Var> vars = chunk.variables();
-            if (vars.size() <= cfg_.karnaugh_k && vars.size() <= 20) {
+            if (vars.size() <= cfg_.karnaugh_k) {
                 karnaugh(chunk, vars);
                 ++res_.karnaugh_polys;
             } else {
@@ -43,7 +95,7 @@ private:
     /// Cut p into chunks of <= L monomials chained by fresh aux variables:
     /// m1+...+m_{L-1} + t1,  t1+m_L+...+m_{2L-3} + t2,  ...
     std::vector<Polynomial> cut(const Polynomial& p) {
-        const size_t L = std::max<unsigned>(cfg_.xor_cut, 3);
+        const size_t L = cfg_.xor_cut;
         if (p.size() <= L) return {p};
         std::vector<Polynomial> chunks;
         const auto& monos = p.monomials();
@@ -110,7 +162,7 @@ private:
                 val ^= ((minterm & mask) == mask);
             on_set[minterm] = val;  // equation violated when p evaluates to 1
         }
-        const auto cover = minimize::minimize_sop(on_set, k);
+        const auto cover = memo_.cover(on_set, k);
         for (const auto& cl :
              minimize::cover_to_clauses(cover, k)) {
             std::vector<sat::Lit> lits;
@@ -169,7 +221,7 @@ private:
         }
         // Plain-CNF XOR: forbid every assignment of the wrong parity.
         const size_t l = x.vars.size();
-        assert(l <= 24 && "xor chunk too long; check xor_cut");
+        assert(l <= Anf2CnfConfig::kMaxXorCut);
         for (uint32_t bits = 0; bits < (1u << l); ++bits) {
             bool parity = false;
             for (size_t i = 0; i < l; ++i) parity ^= (bits >> i) & 1;
@@ -189,14 +241,17 @@ private:
     }
 
     Anf2CnfConfig cfg_;
+    KarnaughMemo& memo_;
     Anf2CnfResult res_;
 };
 
 }  // namespace
 
 Anf2CnfResult anf_to_cnf(const std::vector<Polynomial>& polys, size_t num_vars,
-                         const Anf2CnfConfig& cfg) {
-    Converter conv(num_vars, cfg);
+                         const Anf2CnfConfig& cfg, KarnaughMemo& memo) {
+    if (const std::string bad = cfg.check(); !bad.empty())
+        throw std::invalid_argument("anf_to_cnf: " + bad);
+    Converter conv(num_vars, cfg, memo);
     for (const auto& p : polys) conv.convert(p);
     return conv.take();
 }

@@ -5,12 +5,13 @@
 
 namespace bosphorus::core {
 
-BosphorusResult to_bosphorus_result(::bosphorus::Report report) {
+BosphorusResult to_bosphorus_result(::bosphorus::Report report,
+                                    const Anf2CnfConfig& conv) {
     BosphorusResult res;
     res.status = report.verdict;
     res.solution = std::move(report.solution);
+    res.processed_cnf = report.to_cnf(conv);
     res.processed_anf = std::move(report.processed_anf);
-    res.processed_cnf = std::move(report.processed_cnf);
     res.iterations = report.iterations;
     res.facts_from_xl = report.facts_from("xl");
     res.facts_from_elimlin = report.facts_from("elimlin");
@@ -26,26 +27,29 @@ namespace {
 
 /// The legacy API has no error channel: a failed run degrades to the
 /// kUnknown verdict (built-in techniques never fail, so this is latent).
-BosphorusResult from_run(::bosphorus::Result<::bosphorus::Report> run) {
+BosphorusResult from_run(::bosphorus::Result<::bosphorus::Report> run,
+                         const Anf2CnfConfig& conv) {
     if (!run.ok()) {
         std::fprintf(stderr, "c bosphorus: engine error: %s\n",
                      run.status().to_string().c_str());
         return BosphorusResult{};
     }
-    return to_bosphorus_result(std::move(*run));
+    return to_bosphorus_result(std::move(*run), conv);
 }
 
 }  // namespace
 
 BosphorusResult Bosphorus::process_anf(std::vector<anf::Polynomial> polys,
                                        size_t num_vars) {
-    return from_run(::bosphorus::Engine(opt_).run(
-        ::bosphorus::Problem::from_anf(std::move(polys), num_vars)));
+    auto run = ::bosphorus::Engine(opt_).run(
+        ::bosphorus::Problem::from_anf(std::move(polys), num_vars));
+    return from_run(std::move(run), opt_.conv);
 }
 
 BosphorusResult Bosphorus::process_cnf(const sat::Cnf& cnf) {
-    return from_run(
-        ::bosphorus::Engine(opt_).run(::bosphorus::Problem::from_cnf(cnf)));
+    auto run =
+        ::bosphorus::Engine(opt_).run(::bosphorus::Problem::from_cnf(cnf));
+    return from_run(std::move(run), opt_.conv);
 }
 
 }  // namespace bosphorus::core

@@ -44,8 +44,10 @@ struct BosphorusResult {
     double seconds = 0.0;
 };
 
-/// Map an Engine report onto the legacy result layout.
-BosphorusResult to_bosphorus_result(::bosphorus::Report report);
+/// Map an Engine report onto the legacy result layout, converting the
+/// processed ANF to CNF under `conv`.
+BosphorusResult to_bosphorus_result(::bosphorus::Report report,
+                                    const Anf2CnfConfig& conv);
 
 class Bosphorus {
 public:

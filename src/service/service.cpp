@@ -116,10 +116,6 @@ struct SolveService::Impl {
                        : cfg_.n_workers),
           pool_(workers_) {
         cfg_.n_workers = workers_;
-        // Jobs answer with verdicts only: the wire RESULT never carries
-        // the processed ANF/CNF, and building them per job grew the
-        // daemon's memory with every job it completed.
-        cfg_.engine.emit_processed = false;
         if (!cfg_.fault_plan.empty()) {
             const Status s =
                 fault::FaultInjector::global().arm(cfg_.fault_plan);
@@ -317,6 +313,11 @@ struct SolveService::Impl {
         } else {
             run_sweep_job(*job, token, report, error, failed);
         }
+
+        // Jobs answer with verdicts only: the wire RESULT never carries
+        // the processed ANF, and keeping it would grow the daemon's memory
+        // with every job it retains.
+        report.processed_anf = std::vector<anf::Polynomial>();
 
         std::unique_lock<std::mutex> lk(mu_);
         job->run_s = run_timer.seconds();

@@ -1,9 +1,15 @@
 // ANF <-> CNF conversion tests (paper sections III-C and III-D).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <thread>
+
 #include "anf/anf_parser.h"
 #include "core/anf_to_cnf.h"
 #include "core/cnf_to_anf.h"
+#include "crypto/aes_small.h"
+#include "crypto/simon.h"
+#include "minimize/quine_mccluskey.h"
 #include "sat/solve_cnf.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -109,6 +115,157 @@ TEST(AnfToCnf, SharedMonomialAuxReused) {
     cfg.karnaugh_k = 2;
     const auto res = anf_to_cnf(sys.polynomials, 6, cfg);
     EXPECT_EQ(res.cnf.num_vars, 7u) << "one shared aux for x1*x2";
+}
+
+TEST(AnfToCnf, RejectsSizesItCannotHonour) {
+    const auto p = parse_polynomial("x1*x3 + x1 + x2 + x4 + 1");
+    auto convert = [&p](unsigned k, unsigned cut) {
+        Anf2CnfConfig cfg;
+        cfg.karnaugh_k = k;
+        cfg.xor_cut = cut;
+        return anf_to_cnf({p}, 4, cfg);
+    };
+    EXPECT_THROW(convert(8, 2), std::invalid_argument);
+    EXPECT_THROW(convert(8, 25), std::invalid_argument);
+    EXPECT_THROW(convert(21, 5), std::invalid_argument);
+    EXPECT_NO_THROW(convert(8, 3));
+    EXPECT_NO_THROW(convert(8, 24));
+    EXPECT_NO_THROW(convert(20, 5));
+}
+
+// Order-sensitive fold of everything a conversion emits: the variable
+// count, every clause literal and every native XOR, in output order.
+uint64_t fold_cnf(const sat::Cnf& cnf) {
+    uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&h](uint64_t x) { h = (h ^ x) * 0x100000001B3ULL; };
+    mix(cnf.num_vars);
+    for (const auto& cl : cnf.clauses) {
+        mix(cl.size());
+        for (const sat::Lit l : cl) mix(l.raw());
+    }
+    for (const auto& x : cnf.xors) {
+        mix((uint64_t{x.rhs} << 32) | x.vars.size());
+        for (const sat::Var v : x.vars) mix(v);
+    }
+    return h;
+}
+
+TEST(AnfToCnf, GoldenSimonAndSr) {
+    // A fixed Simon-[9,7] and SR(2,2,2,4) instance converted at the
+    // default L, at the default K (every chunk takes the Karnaugh path)
+    // and at K = 3 (most take the Tseitin/XOR path), each as plain CNF
+    // and with native XORs. Pinned: the fold above and the clause/XOR
+    // counts. A second conversion (every Karnaugh cover now memoised)
+    // must repeat the first exactly. Conversion may get faster, never
+    // different.
+    struct Golden {
+        uint64_t fold;
+        size_t clauses;
+        size_t xors;
+    };
+    struct Variant {
+        unsigned k;
+        bool native;
+    };
+    const Variant variants[] = {{8, false}, {8, true}, {3, false}, {3, true}};
+    const Golden golden[2][4] = {
+        {{0x8dbb144f5d9e8685ULL, 33566, 0},
+         {0x8dbb144f5d9e8685ULL, 33566, 0},
+         {0x6c2117608ff72b6fULL, 31856, 0},
+         {0xf6841dd309d661c9ULL, 2732, 2233}},  // simon
+        {{0x23c7a7c72940bbd1ULL, 10144, 0},
+         {0x23c7a7c72940bbd1ULL, 10144, 0},
+         {0xeeeae4ece5f79081ULL, 10120, 0},
+         {0x9ad1ecd7ad21a92eULL, 1176, 722}},  // sr
+    };
+    for (const bool simon : {true, false}) {
+        Rng rng(2024);
+        std::vector<Polynomial> polys;
+        size_t num_vars = 0;
+        if (simon) {
+            auto inst = crypto::Simon32(7).encode(9, rng);
+            polys = std::move(inst.polys);
+            num_vars = inst.witness.size();
+        } else {
+            auto inst =
+                crypto::SmallScaleAes({2, 2, 2, 4}).random_instance(rng);
+            polys = std::move(inst.polys);
+            num_vars = inst.witness.size();
+        }
+        for (size_t i = 0; i < std::size(variants); ++i) {
+            Anf2CnfConfig cfg;
+            cfg.karnaugh_k = variants[i].k;
+            cfg.native_xor = variants[i].native;
+            const auto first = anf_to_cnf(polys, num_vars, cfg);
+            const auto again = anf_to_cnf(polys, num_vars, cfg);
+            const std::string name = std::string(simon ? "simon" : "sr") +
+                                     " K=" + std::to_string(cfg.karnaugh_k) +
+                                     (cfg.native_xor ? " xor" : " plain");
+            const Golden& want = golden[simon ? 0 : 1][i];
+            EXPECT_EQ(fold_cnf(first.cnf), want.fold) << name;
+            EXPECT_EQ(first.cnf.clauses.size(), want.clauses) << name;
+            EXPECT_EQ(first.cnf.xors.size(), want.xors) << name;
+            EXPECT_EQ(fold_cnf(again.cnf), fold_cnf(first.cnf)) << name;
+        }
+    }
+}
+
+TEST(KarnaughMemo, MatchesMinimiserAcrossClears) {
+    // Random tables over k <= 8 variables, each looked up twice in a
+    // 16-entry memo: both lookups equal a direct minimize_sop call, also
+    // after the memo filled up and cleared itself.
+    KarnaughMemo memo(16);
+    Rng rng(99);
+    size_t clears = 0, last = 0;
+    for (int i = 0; i < 80; ++i) {
+        const unsigned k = 1 + static_cast<unsigned>(rng.below(8));
+        std::vector<bool> on(size_t{1} << k);
+        for (size_t m = 0; m < on.size(); ++m) on[m] = rng.below(2);
+        const auto direct = minimize::minimize_sop(on, k);
+        EXPECT_EQ(memo.cover(on, k), direct) << "first lookup " << i;
+        EXPECT_EQ(memo.cover(on, k), direct) << "repeated lookup " << i;
+        if (memo.size() < last) ++clears;
+        last = memo.size();
+    }
+    EXPECT_GE(clears, 2u);
+}
+
+TEST(KarnaughMemo, KeysOnTheVariableCount) {
+    // The same bits over 2 and over 3 variables are different functions.
+    KarnaughMemo memo;
+    const std::vector<bool> two = {false, false, false, true};
+    std::vector<bool> three(8, false);
+    three[3] = true;
+    EXPECT_EQ(memo.cover(two, 2), minimize::minimize_sop(two, 2));
+    EXPECT_EQ(memo.cover(three, 3), minimize::minimize_sop(three, 3));
+    EXPECT_EQ(memo.size(), 2u);
+    // Tables wider than kMaxK go straight to the minimiser.
+    const unsigned wide = KarnaughMemo::kMaxK + 1;
+    std::vector<bool> on(size_t{1} << wide, false);
+    on[5] = true;
+    EXPECT_EQ(memo.cover(on, wide), minimize::minimize_sop(on, wide));
+    EXPECT_EQ(memo.size(), 2u);
+}
+
+TEST(KarnaughMemo, ConcurrentConversionsAgree) {
+    // Four threads convert one SR(2,2,2,4) system through one small memo,
+    // so lookups, inserts and clears interleave; every conversion must
+    // match a single-threaded one that calls the minimiser every time.
+    Rng rng(2024);
+    const auto inst = crypto::SmallScaleAes({2, 2, 2, 4}).random_instance(rng);
+    const size_t nv = inst.witness.size();
+    KarnaughMemo none(0);
+    const uint64_t want = fold_cnf(anf_to_cnf(inst.polys, nv, {}, none).cnf);
+    KarnaughMemo memo(8);
+    std::vector<uint64_t> folds(4);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < folds.size(); ++t) {
+        threads.emplace_back([&, t] {
+            folds[t] = fold_cnf(anf_to_cnf(inst.polys, nv, {}, memo).cnf);
+        });
+    }
+    for (auto& th : threads) th.join();
+    for (const uint64_t f : folds) EXPECT_EQ(f, want);
 }
 
 class AnfToCnfRandom : public ::testing::TestWithParam<int> {};

@@ -188,6 +188,55 @@ TEST(Engine, CnfProblemRunsThroughConversion) {
     EXPECT_EQ(run->num_original_vars, 3u);
 }
 
+// ---- conversion sizes the converter cannot honour -------------------------
+
+/// The status of one Engine::run and one Session push/solve under `conv`:
+/// both reject a bad config before any conversion runs.
+std::pair<StatusCode, StatusCode> run_with_conv(core::Anf2CnfConfig conv) {
+    EngineConfig cfg = small_config();
+    cfg.conv = conv;
+    const Result<Report> run = Engine(cfg).run(paper_example());
+    Session session(paper_example(), cfg);
+    EXPECT_TRUE(session.push().ok());
+    const Result<Report> solved = session.solve();
+    return {run.status().code(), solved.status().code()};
+}
+
+TEST(Engine, RejectsXorCutBelowThree) {
+    core::Anf2CnfConfig conv;
+    conv.xor_cut = 2;
+    const auto bad = std::make_pair(StatusCode::kInvalidArgument,
+                                    StatusCode::kInvalidArgument);
+    EXPECT_EQ(run_with_conv(conv), bad);
+    conv.xor_cut = 3;
+    EXPECT_EQ(run_with_conv(conv),
+              std::make_pair(StatusCode::kOk, StatusCode::kOk));
+}
+
+TEST(Engine, RejectsXorCutAboveTwentyFour) {
+    core::Anf2CnfConfig conv;
+    conv.xor_cut = 40;  // plain CNF would need 2^39 clauses per XOR
+    const auto bad = std::make_pair(StatusCode::kInvalidArgument,
+                                    StatusCode::kInvalidArgument);
+    EXPECT_EQ(run_with_conv(conv), bad);
+    conv.xor_cut = 25;
+    EXPECT_EQ(run_with_conv(conv), bad);
+    conv.xor_cut = 24;
+    EXPECT_EQ(run_with_conv(conv),
+              std::make_pair(StatusCode::kOk, StatusCode::kOk));
+}
+
+TEST(Engine, RejectsKarnaughAboveTwenty) {
+    core::Anf2CnfConfig conv;
+    conv.karnaugh_k = 21;
+    const auto bad = std::make_pair(StatusCode::kInvalidArgument,
+                                    StatusCode::kInvalidArgument);
+    EXPECT_EQ(run_with_conv(conv), bad);
+    conv.karnaugh_k = 20;
+    EXPECT_EQ(run_with_conv(conv),
+              std::make_pair(StatusCode::kOk, StatusCode::kOk));
+}
+
 // ---- ANF <-> CNF roundtrip through the facade -----------------------------
 
 TEST(Engine, AnfToCnfRoundtripPreservesModels) {
@@ -205,13 +254,15 @@ TEST(Engine, AnfToCnfRoundtripPreservesModels) {
     const auto run = engine.run(problem);
     ASSERT_TRUE(run.ok());
 
+    const sat::Cnf processed = run->to_cnf(cfg.conv).cnf;
+    EXPECT_TRUE(processed.xors.empty()) << "plain, DIMACS-compatible CNF";
     const auto cnf_models = testutil::project_models(
-        testutil::cnf_models(run->processed_cnf.cnf), problem.num_vars());
+        testutil::cnf_models(processed), problem.num_vars());
     EXPECT_EQ(cnf_models, direct)
         << "processed CNF must have the same models over original vars";
 
     // And back in through the facade as a CNF problem.
-    const auto back = engine.run(Problem::from_cnf(run->processed_cnf.cnf));
+    const auto back = engine.run(Problem::from_cnf(processed));
     ASSERT_TRUE(back.ok());
     EXPECT_NE(back->verdict, sat::Result::kUnsat);
 }

@@ -46,7 +46,6 @@ EngineConfig small_config() {
     cfg.sat_conflicts_step = 1000;
     cfg.max_iterations = 8;
     cfg.time_budget_s = 10.0;
-    cfg.emit_processed = false;
     return cfg;
 }
 
@@ -178,11 +177,10 @@ TEST(Service, OneShotVerdictMatchesEngine) {
 }
 
 TEST(Service, JobsAreVerdictOnly) {
-    // Even under emit_processed = true, service jobs never build the
-    // processed ANF/CNF (RESULT does not carry it); verdicts are those of
-    // the direct runs.
+    // A run always reports its processed ANF, but a service job's outcome
+    // never keeps it (RESULT does not carry it, and retained outcomes
+    // would grow the daemon); verdicts are those of the direct runs.
     EngineConfig cfg = small_config();
-    cfg.emit_processed = true;
     const Result<Report> direct = Engine(cfg).run(paper_example());
     ASSERT_TRUE(direct.ok());
     ASSERT_FALSE(direct->processed_anf.empty());
@@ -191,12 +189,9 @@ TEST(Service, JobsAreVerdictOnly) {
     scfg.engine = cfg;
     scfg.n_workers = 2;
     SolveService svc(scfg);
-    EXPECT_FALSE(svc.config().engine.emit_processed);
     auto expect_verdict_only = [](const Report& r) {
         EXPECT_TRUE(r.processed_anf.empty());
-        EXPECT_TRUE(r.processed_cnf.cnf.clauses.empty());
-        EXPECT_TRUE(r.processed_cnf.cnf.xors.empty());
-        EXPECT_TRUE(r.processed_cnf.mono_of_var.empty());
+        EXPECT_EQ(r.processed_anf.capacity(), 0u);
     };
 
     const Result<JobId> id = svc.submit(one_shot("a", paper_example()));
@@ -214,6 +209,7 @@ TEST(Service, JobsAreVerdictOnly) {
         ASSERT_TRUE(session.assume(4, value).ok());
         const Result<Report> warm = session.solve();
         ASSERT_TRUE(warm.ok());
+        ASSERT_FALSE(warm->processed_anf.empty());
         const Result<JobId> sid = svc.submit_assumptions("a", "s", {{4, value}});
         ASSERT_TRUE(sid.ok());
         const Result<JobOutcome> sout = svc.wait(*sid);

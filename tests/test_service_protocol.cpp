@@ -30,7 +30,6 @@ EngineConfig small_config() {
     cfg.sat_conflicts_start = 1000;
     cfg.max_iterations = 8;
     cfg.time_budget_s = 10.0;
-    cfg.emit_processed = false;
     return cfg;
 }
 

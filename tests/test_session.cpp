@@ -345,7 +345,6 @@ TEST(Session, WarmResolveIsDeterministic) {
 TEST(BatchEngineIncremental, SweepMatchesPerCandidateSessions) {
     SweepInstance inst = sweep_instance(17);
     EngineConfig cfg = small_config();
-    cfg.emit_processed = false;
 
     std::vector<AssumptionSet> candidates;
     for (unsigned mask = 0; mask < 8; ++mask) {
@@ -381,7 +380,6 @@ TEST(BatchEngineIncremental, SweepMatchesPerCandidateSessions) {
 TEST(BatchEngineIncremental, BadCandidateFailsItsSlotOnly) {
     SweepInstance inst = sweep_instance(19);
     EngineConfig cfg = small_config();
-    cfg.emit_processed = false;
 
     std::vector<AssumptionSet> candidates;
     candidates.push_back({{0, inst.planted[0]}});
@@ -401,7 +399,6 @@ TEST(BatchEngineIncremental, BadCandidateFailsItsSlotOnly) {
 TEST(BatchEngineIncremental, CancellationSkipsRemainingCandidates) {
     SweepInstance inst = sweep_instance(23);
     EngineConfig cfg = small_config();
-    cfg.emit_processed = false;
 
     std::vector<AssumptionSet> candidates(16, AssumptionSet{{0, true}});
     runtime::CancellationSource source;
