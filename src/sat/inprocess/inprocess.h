@@ -4,7 +4,8 @@
 // The subsystem has three legs, mirroring CryptoMiniSat's in-processing
 // stack:
 //  * Vivifier (vivifier.h): strengthens/shrinks clauses at restart
-//    boundaries under a propagation budget (clausevivifier.cpp).
+//    boundaries under a tick budget proportional to the search effort
+//    since the previous pass (clausevivifier.cpp; Kissat/CaDiCaL ticks).
 //  * ClauseDbManager (clause_db.h): a three-tier core/mid/local learnt-DB
 //    policy with glue protection, survival promotion and a *persistent*
 //    cap, so clause management carries across warm Session::solve calls
@@ -39,21 +40,22 @@ struct InprocessConfig {
     /// first learnt-LBD window); kFixed pins the explicit Config knobs.
     ProfileId profile = ProfileId::kAuto;
 
-    // ---- vivification (profile-overridable) ------------------------------
+    // ---- vivification -----------------------------------------------------
     bool vivify = true;  ///< run the Vivifier at restart boundaries
-    /// Propagations one vivification pass may spend before yielding.
-    uint64_t vivify_propagation_budget = 200'000;
+    /// Share of the search's own effort a vivification pass may spend:
+    /// each pass gets this many ticks (watch-list entries visited by
+    /// Solver::propagate) per search tick since the previous pass, less
+    /// whatever that pass overshot its own budget. In-processing thus
+    /// never costs more than this fraction of the search it serves.
+    double vivify_effort = 0.10;
     /// Run a pass every Nth restart (and once at the start of each warm
     /// re-solve; never at the start of a first/cold call).
+    /// Profile-overridable.
     uint32_t vivify_restart_interval = 6;
     /// Clauses longer than this are skipped (budget goes further on the
     /// short clauses propagation actually visits).
     uint32_t vivify_max_clause_size = 64;
     bool vivify_irredundant = true;  ///< also strengthen problem clauses
-    /// Skip a scheduled pass unless this many conflicts happened since
-    /// the last one: re-vivifying an unchanged DB is pure overhead, which
-    /// matters on the short solves of a warm assumption sweep.
-    uint64_t vivify_min_conflicts = 300;
 
     // ---- tiered learnt DB (profile-overridable) --------------------------
     uint32_t core_lbd_cut = 3;  ///< LBD <= this: core, never deleted
@@ -80,6 +82,12 @@ struct InprocessCounters {
     std::atomic<uint64_t> vivified_clauses{0};   ///< clauses shrunk
     std::atomic<uint64_t> vivify_deleted{0};     ///< clauses proved satisfied
     std::atomic<uint64_t> vivify_passes{0};      ///< vivification sweeps run
+    /// Effort in ticks (watch-list entries visited): by vivification
+    /// (added after each pass) and by the search (added at the end of
+    /// each solve call and before each pass). vivify_effort bounds their
+    /// ratio.
+    std::atomic<uint64_t> vivify_ticks{0};
+    std::atomic<uint64_t> search_ticks{0};
     std::atomic<uint64_t> reconf_decisions{0};   ///< auto profile switches
     std::atomic<uint64_t> db_reductions{0};      ///< tiered reduce sweeps
     std::atomic<int64_t> tier_core{0};   ///< live core-tier clauses

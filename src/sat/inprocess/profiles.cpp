@@ -14,11 +14,11 @@ namespace {
 // over-constrained instances, and an aggressive-deletion profile for
 // searches that flood the learnt DB with high-LBD clauses.
 constexpr SolverProfile kProfiles[] = {
-    // name            var    clause  rst  core mid viv-int viv-budget growth
-    {"balanced",       0.95,  0.999,  100, 3,   6,  6,      200'000,   1.10},
-    {"crypto-xor",     0.95,  0.999,  192, 4,   7,  4,      400'000,   1.15},
-    {"agile-restart",  0.85,  0.999,  32,  3,   5,  8,      100'000,   1.08},
-    {"heavy-tail",     0.95,  0.997,  100, 2,   4,  3,      300'000,   1.03},
+    // name            var    clause  rst  core mid viv-int growth
+    {"balanced",       0.95,  0.999,  100, 3,   6,  6,      1.10},
+    {"crypto-xor",     0.95,  0.999,  192, 4,   7,  4,      1.15},
+    {"agile-restart",  0.85,  0.999,  32,  3,   5,  8,      1.08},
+    {"heavy-tail",     0.95,  0.997,  100, 2,   4,  3,      1.03},
 };
 
 constexpr int kFirstNamed = static_cast<int>(ProfileId::kBalanced);
@@ -40,7 +40,7 @@ ProfileId select_profile(const InstanceFeatures& f) {
     //
     // 1. XOR-dense instances (>= 5% of constraints are XOR rows) are the
     //    crypto workloads the paper targets: patient restarts, wide tier
-    //    cuts, a big vivification budget.
+    //    cuts.
     if (f.xor_density >= 0.05) return ProfileId::kCryptoXor;
     // 2. A high opening LBD says the search is learning junk: clamp the
     //    tiers down and vivify often.

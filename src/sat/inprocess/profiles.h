@@ -7,7 +7,9 @@
 // warm-Session trajectories stay replayable. A profile bundles the
 // search knobs (restart pacing, activity decay) with the in-processing
 // knobs (learnt-DB tier cuts, vivification cadence) that
-// clause_db.h/vivifier.h consume.
+// clause_db.h/vivifier.h consume. The vivification budget is not a
+// profile knob: every profile spends the same share of its own search
+// effort (InprocessConfig::vivify_effort).
 #pragma once
 
 #include <cstdint>
@@ -41,7 +43,6 @@ struct SolverProfile {
     uint32_t core_lbd_cut; ///< LBD <= this: core tier, never deleted
     uint32_t mid_lbd_cut;  ///< LBD <= this: mid tier, survival-protected
     uint32_t vivify_restart_interval;  ///< vivify every Nth restart
-    uint64_t vivify_propagation_budget;  ///< per vivification pass
     double local_cap_growth;  ///< local-tier cap growth per reduction
 };
 

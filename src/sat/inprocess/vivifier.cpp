@@ -17,22 +17,21 @@ void Vivifier::drop_clause(Solver& s, int32_t cref) {
     s.remove_clause(cref);
 }
 
-Vivifier::PassStats Vivifier::run(Solver& s, uint64_t propagation_budget,
+Vivifier::PassStats Vivifier::run(Solver& s, uint64_t tick_budget,
                                   uint32_t max_clause_size,
                                   bool include_irredundant) {
     PassStats st;
     if (!s.ok_) return st;
     assert(s.decision_level() == 0);
 
-    const uint64_t prop_start = s.stats_.propagations;
+    const uint64_t ticks_start = s.stats_.vivify_ticks;
+    const uint64_t ticks_end = ticks_start + tick_budget;
 
     // Reach the level-0 fixpoint before assuming anything.
     if (s.propagate() != Solver::kNoReason) {
         s.ok_ = false;
         return st;
     }
-
-    const uint64_t budget_end = s.stats_.propagations + propagation_budget;
 
     bool exhausted = false;
     auto sweep = [&](std::vector<int32_t>& list, size_t& cursor) {
@@ -46,7 +45,7 @@ Vivifier::PassStats Vivifier::run(Solver& s, uint64_t propagation_budget,
             if (c.deleted) continue;
             if (c.lits.size() < 3 || c.lits.size() > max_clause_size)
                 continue;
-            if (!vivify_one(s, cr, budget_end, st)) {
+            if (!vivify_one(s, cr, ticks_end, st)) {
                 exhausted = true;
                 cursor = idx;  // resume from this clause next pass
             }
@@ -72,10 +71,11 @@ Vivifier::PassStats Vivifier::run(Solver& s, uint64_t propagation_budget,
         compact(s.problem_clauses_);
     }
 
-    st.propagations_used = s.stats_.propagations - prop_start;
+    st.ticks_used = s.stats_.vivify_ticks - ticks_start;
 
     auto& g = counters();
     g.vivify_passes.fetch_add(1, std::memory_order_relaxed);
+    g.vivify_ticks.fetch_add(st.ticks_used, std::memory_order_relaxed);
     g.vivified_literals.fetch_add(st.literals_removed,
                                   std::memory_order_relaxed);
     g.vivified_clauses.fetch_add(st.clauses_shrunk, std::memory_order_relaxed);
@@ -83,7 +83,7 @@ Vivifier::PassStats Vivifier::run(Solver& s, uint64_t propagation_budget,
     return st;
 }
 
-bool Vivifier::vivify_one(Solver& s, int32_t cref, uint64_t prop_budget_end,
+bool Vivifier::vivify_one(Solver& s, int32_t cref, uint64_t ticks_end,
                           PassStats& st) {
     Solver::Clause& c = s.clauses_[cref];
     ++st.clauses_examined;
@@ -93,8 +93,8 @@ bool Vivifier::vivify_one(Solver& s, int32_t cref, uint64_t prop_budget_end,
     // a satisfied clause can be deleted outright, a falsified literal
     // dropped (both rewrites preserve the model set of the whole formula
     // because the level-0 trail itself survives).
-    std::vector<Lit> work;
-    work.reserve(orig_size);
+    std::vector<Lit>& work = work_;
+    work.clear();
     for (const Lit l : c.lits) {
         const LBool v = s.value(l);
         if (v == LBool::kTrue) {
@@ -127,8 +127,8 @@ bool Vivifier::vivify_one(Solver& s, int32_t cref, uint64_t prop_budget_end,
     // pseudo-decision. `result` accumulates the literals the replacement
     // clause keeps; every rewrite below is implied by F \ {C}.
     s.detach_clause(cref);
-    std::vector<Lit> result;
-    result.reserve(work.size());
+    std::vector<Lit>& result = result_;
+    result.clear();
     bool budget_out = false;
     size_t next_unexamined = work.size();
     for (size_t i = 0; i < work.size(); ++i) {
@@ -144,7 +144,7 @@ bool Vivifier::vivify_one(Solver& s, int32_t cref, uint64_t prop_budget_end,
             result.push_back(l);
             break;
         }
-        if (s.stats_.propagations >= prop_budget_end) {
+        if (s.stats_.vivify_ticks >= ticks_end) {
             budget_out = true;
             next_unexamined = i;
             break;
@@ -184,7 +184,7 @@ bool Vivifier::vivify_one(Solver& s, int32_t cref, uint64_t prop_budget_end,
 
     st.literals_removed += orig_size - result.size();
     ++st.clauses_shrunk;
-    c.lits = std::move(result);
+    c.lits.assign(result.begin(), result.end());  // shrinks in place
     const uint32_t new_lbd =
         std::min(c.lbd, static_cast<uint32_t>(c.lits.size()));
     if (new_lbd != c.lbd) {

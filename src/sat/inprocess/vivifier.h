@@ -1,5 +1,7 @@
 // Clause vivification (distillation) at restart boundaries -- the
-// clausevivifier.cpp shape under a propagation budget.
+// clausevivifier.cpp shape under a tick budget (one tick = one watch-list
+// entry visited by Solver::propagate, the currency the search is
+// charged in too).
 //
 // For a clause C = (l1 | ... | ln) temporarily detached from the
 // database, the negations of its literals are enqueued one at a time as
@@ -22,6 +24,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
+
+#include "sat/types.h"
 
 namespace bosphorus::sat {
 class Solver;
@@ -37,20 +42,22 @@ public:
         uint64_t literals_removed = 0;  ///< total literals dropped
         uint64_t clauses_deleted = 0;   ///< proved satisfied at level 0
         uint64_t units_derived = 0;     ///< collapsed to level-0 units
-        uint64_t propagations_used = 0;
+        uint64_t ticks_used = 0;        ///< watch entries visited
     };
 
     /// One budgeted pass over the database. Requires decision level 0 and
     /// no conflict in flight; returns with the solver back at level 0.
     /// May derive level-0 units (exported as learnt facts) or set
     /// s.ok_ = false when the formula is refuted outright.
-    PassStats run(Solver& s, uint64_t propagation_budget,
-                  uint32_t max_clause_size, bool include_irredundant);
+    /// The pass stops at the first budget check after `tick_budget`
+    /// ticks, so it may overshoot by the propagations of one clause.
+    PassStats run(Solver& s, uint64_t tick_budget, uint32_t max_clause_size,
+                  bool include_irredundant);
 
 private:
     /// Vivify one clause in place. Returns false when the budget expired
     /// before the clause was finished (the clause is left unchanged).
-    bool vivify_one(Solver& s, int32_t cref, uint64_t prop_budget_end,
+    bool vivify_one(Solver& s, int32_t cref, uint64_t ticks_end,
                     PassStats& stats);
 
     /// Delete a clause from the database with tier bookkeeping. Works
@@ -60,6 +67,11 @@ private:
     // Round-robin cursors into Solver::learnts_ / problem_clauses_.
     size_t learnt_cursor_ = 0;
     size_t irred_cursor_ = 0;
+
+    // vivify_one() scratch, reused across clauses and passes: the clause
+    // after the level-0 prescan, and the literals its rewrite keeps.
+    std::vector<Lit> work_;
+    std::vector<Lit> result_;
 };
 
 }  // namespace bosphorus::sat::inprocess

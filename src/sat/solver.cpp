@@ -15,7 +15,6 @@ Solver::Solver(Config cfg) : cfg_(cfg) {
     eff_var_decay_ = cfg_.var_decay;
     eff_clause_decay_ = cfg_.clause_decay;
     eff_restart_base_ = cfg_.restart_base;
-    eff_vivify_budget_ = cfg_.inprocess.vivify_propagation_budget;
     eff_vivify_interval_ = cfg_.inprocess.vivify_restart_interval;
     if (cfg_.inprocess.enabled) {
         db_mgr_ = std::make_unique<inprocess::ClauseDbManager>(cfg_.inprocess);
@@ -190,12 +189,14 @@ void Solver::enqueue(Lit l, CRef reason) {
 
 Solver::CRef Solver::propagate() {
     CRef confl = kNoReason;
+    uint64_t ticks = 0;  // watch-list entries visited: the effort currency
     while (qhead_ < trail_.size()) {
         const Lit p = trail_[qhead_++];
         ++stats_.propagations;
         auto& ws = watches_[p.raw()];
         size_t i = 0, j = 0;
         while (i < ws.size()) {
+            ++ticks;
             const Watcher w = ws[i];
             if (value(w.blocker) == LBool::kTrue) {
                 ws[j++] = ws[i++];
@@ -239,6 +240,7 @@ Solver::CRef Solver::propagate() {
         ws.resize(j);
         if (confl != kNoReason) break;
     }
+    (vivifying_ ? stats_.vivify_ticks : stats_.search_ticks) += ticks;
     return confl;
 }
 
@@ -504,7 +506,6 @@ void Solver::apply_profile(inprocess::ProfileId id) {
              cfg_.inprocess.core_lbd_cut,
              cfg_.inprocess.mid_lbd_cut,
              cfg_.inprocess.vivify_restart_interval,
-             cfg_.inprocess.vivify_propagation_budget,
              cfg_.inprocess.local_cap_growth};
     } else {
         p = inprocess::profile(id);
@@ -512,7 +513,6 @@ void Solver::apply_profile(inprocess::ProfileId id) {
     eff_var_decay_ = p.var_decay;
     eff_clause_decay_ = p.clause_decay;
     eff_restart_base_ = p.restart_base;
-    eff_vivify_budget_ = p.vivify_propagation_budget;
     eff_vivify_interval_ = p.vivify_restart_interval;
     db_mgr_->apply_profile(p);
     if (profile_applied_ && id != active_profile_) {
@@ -524,19 +524,39 @@ void Solver::apply_profile(inprocess::ProfileId id) {
     active_profile_ = id;
 }
 
-void Solver::run_vivify_pass() {
-    const auto ps = vivifier_->run(*this, eff_vivify_budget_,
+uint64_t Solver::vivify_allowance() const {
+    // Carrying the overshoot forward keeps the running total bounded:
+    // vivify_ticks <= vivify_effort x search_ticks + one pass's overshoot.
+    // Compared as doubles first, so a negative or NaN effort skips the
+    // pass instead of reaching an out-of-range conversion.
+    const double earned =
+        cfg_.inprocess.vivify_effort *
+        static_cast<double>(stats_.search_ticks - vivify_mark_);
+    return earned > static_cast<double>(vivify_debt_)
+               ? static_cast<uint64_t>(earned) - vivify_debt_
+               : 0;
+}
+
+inprocess::Vivifier::PassStats Solver::run_vivify_pass(uint64_t tick_budget) {
+    publish_search_ticks();
+    vivifying_ = true;
+    const auto ps = vivifier_->run(*this, tick_budget,
                                    cfg_.inprocess.vivify_max_clause_size,
                                    cfg_.inprocess.vivify_irredundant);
+    vivifying_ = false;
     stats_.vivified_literals += ps.literals_removed;
     stats_.vivified_clauses += ps.clauses_shrunk;
     ++stats_.vivify_passes;
-    last_vivify_conflicts_ = stats_.conflicts;
+    vivify_mark_ = stats_.search_ticks;
+    vivify_debt_ = ps.ticks_used > tick_budget ? ps.ticks_used - tick_budget : 0;
+    return ps;
 }
 
-bool Solver::vivify_due() const {
-    return stats_.conflicts - last_vivify_conflicts_ >=
-           cfg_.inprocess.vivify_min_conflicts;
+void Solver::publish_search_ticks() {
+    inprocess::counters().search_ticks.fetch_add(
+        stats_.search_ticks - search_ticks_published_,
+        std::memory_order_relaxed);
+    search_ticks_published_ = stats_.search_ticks;
 }
 
 uint32_t Solver::clause_lbd(const Clause& c) {
@@ -624,16 +644,10 @@ void Solver::debug_force_reduce() {
 }
 
 inprocess::Vivifier::PassStats Solver::debug_force_vivify(
-    uint64_t propagation_budget) {
+    uint64_t tick_budget) {
     if (!vivifier_ || !ok_) return {};
     cancel_until(0);
-    const auto ps = vivifier_->run(*this, propagation_budget,
-                                   cfg_.inprocess.vivify_max_clause_size,
-                                   cfg_.inprocess.vivify_irredundant);
-    stats_.vivified_literals += ps.literals_removed;
-    stats_.vivified_clauses += ps.clauses_shrunk;
-    ++stats_.vivify_passes;
-    return ps;
+    return run_vivify_pass(tick_budget);
 }
 
 double Solver::luby(double y, int i) const {
@@ -708,10 +722,13 @@ Result Solver::solve_assuming(const std::vector<Lit>& assumptions,
         window_lbd_count_ = 0;
         window_reconf_done_ = false;
         // Entry vivification on warm re-solves only: a cold one-shot call
-        // pays nothing up front, and short warm solves that learned
-        // little since the last pass skip it too (vivify_due).
-        if (cfg_.inprocess.vivify && solve_calls_ > 1 && vivify_due()) {
-            run_vivify_pass();
+        // pays nothing up front, and the budget is a share of the search
+        // done since the last pass, so a pass after a short warm solve is
+        // short too.
+        const uint64_t budget =
+            cfg_.inprocess.vivify && solve_calls_ > 1 ? vivify_allowance() : 0;
+        if (budget > 0) {
+            run_vivify_pass(budget);
             if (!ok_) {
                 while (units_reported_ < trail_.size())
                     learnt_units_.push_back(trail_[units_reported_++]);
@@ -823,9 +840,9 @@ Result Solver::solve_assuming(const std::vector<Lit>& assumptions,
                 if (inprocessing_on() && cfg_.inprocess.vivify &&
                     eff_vivify_interval_ > 0 &&
                     curr_restarts % static_cast<int>(eff_vivify_interval_) ==
-                        0 &&
-                    vivify_due()) {
-                    run_vivify_pass();
+                        0) {
+                    const uint64_t budget = vivify_allowance();
+                    if (budget > 0) run_vivify_pass(budget);
                     if (!ok_) {
                         result = Result::kUnsat;
                         break;
@@ -890,6 +907,7 @@ Result Solver::solve_assuming(const std::vector<Lit>& assumptions,
     while (units_reported_ < trail_.size()) {
         learnt_units_.push_back(trail_[units_reported_++]);
     }
+    if (inprocessing_on()) publish_search_ticks();
     return result;
 }
 

@@ -66,6 +66,11 @@ public:
         uint64_t vivify_passes = 0;      ///< vivification sweeps run
         uint64_t reconf_decisions = 0;   ///< auto profile switches applied
         uint64_t db_reductions = 0;      ///< tiered reduce sweeps
+        /// Effort in ticks (watch-list entries visited by propagate()),
+        /// split by who propagated: the search (including level-0
+        /// propagation while clauses are added) or vivification.
+        uint64_t search_ticks = 0;
+        uint64_t vivify_ticks = 0;
 
         /// Field-wise sum, for backends that aggregate several solvers.
         Stats& operator+=(const Stats& o) {
@@ -81,6 +86,8 @@ public:
             vivify_passes += o.vivify_passes;
             reconf_decisions += o.reconf_decisions;
             db_reductions += o.db_reductions;
+            search_ticks += o.search_ticks;
+            vivify_ticks += o.vivify_ticks;
             return *this;
         }
     };
@@ -210,10 +217,11 @@ public:
     /// legacy reduce_db otherwise). Test hook.
     void debug_force_reduce();
 
-    /// Force one vivification pass with the given budget (no-op returning
-    /// empty stats when in-processing is disabled). Test hook.
-    inprocess::Vivifier::PassStats debug_force_vivify(
-        uint64_t propagation_budget);
+    /// Force one vivification pass with the given budget in ticks (no-op
+    /// returning empty stats when in-processing is disabled). Like a
+    /// scheduled pass it restarts the effort account: the next scheduled
+    /// pass is funded only by search done after this one. Test hook.
+    inprocess::Vivifier::PassStats debug_force_vivify(uint64_t tick_budget);
 
 private:
     friend class XorEngine;
@@ -249,10 +257,16 @@ private:
     /// Install a named profile's (or kFixed: the Config's) knobs as the
     /// effective search parameters and tier cuts.
     void apply_profile(inprocess::ProfileId id);
-    /// One budgeted vivification sweep, folding pass stats into stats_.
-    void run_vivify_pass();
-    /// Enough conflicts since the last pass to be worth another one?
-    bool vivify_due() const;
+    /// Ticks the next scheduled pass may spend: vivify_effort x the search
+    /// ticks since the last pass ended, less that pass's overshoot of its
+    /// own budget. Zero means skip the pass.
+    uint64_t vivify_allowance() const;
+    /// The one vivification entry point: a pass of at most `tick_budget`
+    /// ticks (plus one clause's overshoot), its stats folded into stats_
+    /// and the effort account restarted from here.
+    inprocess::Vivifier::PassStats run_vivify_pass(uint64_t tick_budget);
+    /// Add the search ticks not yet published to inprocess::counters().
+    void publish_search_ticks();
     /// Recompute the LBD of a fully assigned clause (analyze-time hook).
     uint32_t clause_lbd(const Clause& c);
 
@@ -341,7 +355,6 @@ private:
     double eff_var_decay_;
     double eff_clause_decay_;
     int eff_restart_base_;
-    uint64_t eff_vivify_budget_;
     uint32_t eff_vivify_interval_;
     // Opening-window LBD observation of the current call, and the carry
     // from the previous call (feeds the next static profile selection).
@@ -351,7 +364,13 @@ private:
     double prev_window_lbd_ = 0.0;
     inprocess::InstanceFeatures feat_;  // cached per call for the mid-solve rule
     uint64_t solve_calls_ = 0;
-    uint64_t last_vivify_conflicts_ = 0;  // conflict count at the last pass
+    // Vivification effort account (see vivify_allowance): search ticks at
+    // the end of the last pass, and the ticks that pass spent beyond its
+    // budget. While vivifying_, propagate() charges vivify_ticks.
+    uint64_t vivify_mark_ = 0;
+    uint64_t vivify_debt_ = 0;
+    bool vivifying_ = false;
+    uint64_t search_ticks_published_ = 0;  // already in counters()
     // clause_lbd() scratch: per-decision-level stamps.
     std::vector<uint64_t> level_stamp_;
     uint64_t lbd_stamp_ = 0;

@@ -264,6 +264,8 @@ void expect_stats_eq(const sat::Solver::Stats& a, const sat::Solver::Stats& b,
     EXPECT_EQ(a.vivify_passes, b.vivify_passes) << where;
     EXPECT_EQ(a.reconf_decisions, b.reconf_decisions) << where;
     EXPECT_EQ(a.db_reductions, b.db_reductions) << where;
+    EXPECT_EQ(a.search_ticks, b.search_ticks) << where;
+    EXPECT_EQ(a.vivify_ticks, b.vivify_ticks) << where;
 }
 
 /// A decorator that aggregates its attempts' counters must not drop any
@@ -278,6 +280,8 @@ TEST(BackendStats, ResilientSingleAttemptMatchesBareBackend) {
     ASSERT_TRUE(bare.ok() && wrapped.ok());
     ASSERT_GT(bare->stats.db_reductions, 0u)
         << "the instance must exercise the tiered learnt DB";
+    ASSERT_GT(bare->stats.vivify_ticks, 0u)
+        << "the instance must exercise vivification";
     EXPECT_EQ(wrapped->result, bare->result);
     expect_stats_eq(wrapped->stats, bare->stats, "resilient:minisat");
 }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "cnfgen/generators.h"
@@ -219,6 +220,87 @@ TEST(Vivifier, PreservesModelSetExactly) {
             if (!s.okay()) break;  // formula proved UNSAT outright
         }
     }
+}
+
+TEST(Vivifier, EffortStaysProportional) {
+    // One cold solve, then a long warm assumption sweep on one XOR-enabled
+    // solver (the repeated-solve() shape of CryptoMiniSat's basic_test).
+    // After every call the vivification passes together have spent at
+    // most vivify_effort x the search's ticks, plus the last pass's
+    // overshoot. A pass checks its budget only between propagations, so
+    // it may finish one probe's propagation and the level-0 propagation
+    // of what it derives; each visits a clause at most once per literal
+    // it falsifies. The overshoot is thus at most twice the literals the
+    // solver holds: at most 3 per problem clause (3-SAT clauses and the
+    // binaries Gauss-Jordan adds, up to 2 per XOR row per call) and at
+    // most n per learnt clause.
+    //
+    // A planted instance, satisfiable at every seed so the sweep always
+    // runs its 200 calls.
+    Rng rng(testutil::test_seed(41));
+    const size_t n = 20;
+    const uint32_t planted = static_cast<uint32_t>(rng.below(1u << n));
+    auto planted_value = [planted](Var v) { return ((planted >> v) & 1) != 0; };
+    Cnf cnf = cnfgen::random_ksat(n, 84, 3, rng);
+    for (auto& clause : cnf.clauses) {
+        const bool satisfied =
+            std::any_of(clause.begin(), clause.end(), [&](Lit l) {
+                return planted_value(l.var()) != l.sign();
+            });
+        if (!satisfied) clause[0] = ~clause[0];
+    }
+    for (int i = 0; i < 4; ++i) {
+        XorConstraint x;
+        x.rhs = false;
+        for (int j = 0; j < 4; ++j) {
+            x.vars.push_back(static_cast<Var>(rng.below(n)));
+            x.rhs ^= planted_value(x.vars.back());
+        }
+        cnf.xors.push_back(std::move(x));
+    }
+    const std::vector<uint32_t> models = cnf_models(cnf);
+    auto oracle = [&models](const std::vector<Lit>& assumptions) {
+        for (const uint32_t m : models) {
+            bool consistent = true;
+            for (const Lit a : assumptions)
+                if (((m >> a.var()) & 1) == a.sign()) consistent = false;
+            if (consistent) return Result::kSat;
+        }
+        return Result::kUnsat;
+    };
+
+    Solver::Config cfg = inproc_config(true);
+    cfg.enable_xor = true;
+    Solver s(cfg);
+    ASSERT_TRUE(s.load(cnf));
+    const double effort = cfg.inprocess.vivify_effort;
+    size_t problem_peak = 0;  // problem clauses before any call so far
+    auto solve_and_check = [&](const std::vector<Lit>& assume,
+                               const std::string& where) {
+        problem_peak =
+            std::max(problem_peak, InstanceFeatures::extract(s).num_clauses);
+        ASSERT_EQ(s.solve_assuming(assume), oracle(assume)) << where;
+        const Solver::Stats& st = s.stats();
+        const double problem_lits =
+            3.0 * static_cast<double>(problem_peak + 2 * cnf.xors.size());
+        const double learnt_lits = static_cast<double>(n * st.learnt_clauses);
+        EXPECT_LE(static_cast<double>(st.vivify_ticks),
+                  effort * static_cast<double>(st.search_ticks) +
+                      2.0 * (problem_lits + learnt_lits))
+            << where << ": vivify_ticks " << st.vivify_ticks
+            << ", search_ticks " << st.search_ticks;
+    };
+
+    solve_and_check({}, "cold solve");
+    for (int call = 0; call < 200; ++call) {
+        std::vector<Lit> assume;
+        for (int k = 0; k < 3; ++k)
+            assume.push_back(
+                mk_lit(static_cast<Var>(rng.below(n)), rng.coin()));
+        solve_and_check(assume, "warm call " + std::to_string(call));
+    }
+    EXPECT_GT(s.stats().vivify_passes, 0u) << "the sweep must vivify";
+    EXPECT_GT(s.stats().vivify_ticks, 0u);
 }
 
 // ---- tiered learnt DB -----------------------------------------------------
