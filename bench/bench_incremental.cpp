@@ -21,11 +21,22 @@
 //    the search's ticks (watch-list entries visited), summed over every
 //    in-processing solver of the run: vivify_tick_share;
 //  * the warm loop must not be slower than cold (5% noise slack; the
-//    strict comparison is still reported as warm_strictly_faster).
+//    strict comparison is still reported as warm_strictly_faster);
+//  * warm XOR arm: one native solver with XOR reasoning answers
+//    BENCH_XOR_CALLS solve_assuming calls, cycling through eight
+//    assumption sets over a planted 60-variable 3-SAT + XOR instance.
+//    Every call's verdict must match a fresh solver's, every model must
+//    satisfy the instance, and arena_growth -- the solver's clause-arena
+//    high-water mark (in words, after a call) over the whole run divided
+//    by the one over its first tenth -- must stay <= 1.10. A count, so
+//    machine-independent: XOR reason clauses are garbage after their
+//    call, and without arena collection they pile up call after call.
 //
 // Output is machine-readable JSON, printed to stdout and written to
 // BENCH_incremental.json (override with BENCH_JSON_OUT). Knobs:
-// BENCH_VARS (32), BENCH_EQS (48), BENCH_SWEEP_BITS (4), BENCH_SEED (1).
+// BENCH_VARS (32), BENCH_EQS (48), BENCH_SWEEP_BITS (4), BENCH_SEED (1),
+// BENCH_XOR_CALLS (1000).
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,6 +47,8 @@
 #include "bosphorus/bosphorus.h"
 #include "cnfgen/generators.h"
 #include "sat/inprocess/inprocess.h"
+#include "sat/solve_cnf.h"
+#include "sat/solver.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -74,6 +87,79 @@ const char* verdict_name(sat::Result r) {
     return "unknown";
 }
 
+/// The warm XOR arm (see the file comment).
+struct XorArm {
+    size_t calls = 0;
+    size_t sat = 0, unsat = 0;
+    uint64_t xor_propagations = 0;
+    size_t arena_peak_tenth = 0;  ///< high-water mark over the first tenth
+    size_t arena_peak = 0;        ///< high-water mark over the whole run
+    bool verdicts_ok = true;
+    double arena_growth() const {
+        return arena_peak_tenth ? static_cast<double>(arena_peak) /
+                                      static_cast<double>(arena_peak_tenth)
+                                : 0.0;
+    }
+};
+
+XorArm run_xor_arm(size_t calls, uint64_t seed) {
+    constexpr size_t kVars = 60, kClauses = 180, kXors = 20, kXorLen = 5;
+    Rng rng(seed * 0x9E3779B97F4A7C15ULL + 3);
+    std::vector<bool> planted(kVars);
+    for (size_t v = 0; v < kVars; ++v) planted[v] = rng.coin();
+    sat::Cnf cnf = cnfgen::random_ksat(kVars, kClauses, 3, rng);
+    for (auto& clause : cnf.clauses) {
+        bool satisfied = false;
+        for (const sat::Lit l : clause) satisfied |= planted[l.var()] != l.sign();
+        if (!satisfied) clause[0] = ~clause[0];
+    }
+    for (size_t i = 0; i < kXors; ++i) {
+        sat::XorConstraint x;
+        for (size_t j = 0; j < kXorLen; ++j) {
+            x.vars.push_back(static_cast<sat::Var>(rng.below(kVars)));
+            x.rhs ^= planted[x.vars.back()];
+        }
+        cnf.xors.push_back(std::move(x));
+    }
+    std::vector<std::vector<sat::Lit>> sweep(8);
+    for (auto& assume : sweep) {
+        for (int k = 0; k < 3; ++k)
+            assume.push_back(sat::mk_lit(
+                static_cast<sat::Var>(rng.below(kVars)), rng.coin()));
+    }
+
+    sat::Solver::Config scfg;
+    scfg.enable_xor = true;
+    // Reference verdicts: a fresh solver per assumption set.
+    std::vector<sat::Result> expected;
+    for (const auto& assume : sweep) {
+        sat::Solver fresh(scfg);
+        expected.push_back(fresh.load(cnf) ? fresh.solve_assuming(assume)
+                                           : sat::Result::kUnsat);
+    }
+
+    XorArm arm;
+    arm.calls = calls;
+    sat::Solver s(scfg);
+    arm.verdicts_ok = s.load(cnf);
+    for (size_t call = 1; call <= calls && arm.verdicts_ok; ++call) {
+        const size_t i = call % sweep.size();
+        const sat::Result r = s.solve_assuming(sweep[i]);
+        if (r != expected[i]) arm.verdicts_ok = false;
+        if (r == sat::Result::kSat) {
+            ++arm.sat;
+            if (!sat::model_satisfies(cnf, s.model())) arm.verdicts_ok = false;
+        } else if (r == sat::Result::kUnsat) {
+            ++arm.unsat;
+        }
+        arm.arena_peak = std::max(arm.arena_peak, s.arena_words());
+        if (call == std::max<size_t>(calls / 10, 1))
+            arm.arena_peak_tenth = arm.arena_peak;
+    }
+    arm.xor_propagations = s.stats().xor_propagations;
+    return arm;
+}
+
 }  // namespace
 
 int main() {
@@ -81,6 +167,7 @@ int main() {
     const size_t num_eqs = env_or("BENCH_EQS", 48);
     const size_t sweep_bits = env_or("BENCH_SWEEP_BITS", 4);
     const auto seed = static_cast<uint64_t>(env_or("BENCH_SEED", 1));
+    const size_t xor_calls = env_or("BENCH_XOR_CALLS", 1000);
     const char* json_path = std::getenv("BENCH_JSON_OUT");
     if (!json_path) json_path = "BENCH_incremental.json";
 
@@ -230,8 +317,11 @@ int main() {
         vivify_tick_share <= sat::inprocess::InprocessConfig{}.vivify_effort;
     const bool warm_not_slower = warm_s <= cold_s * 1.05;
 
+    const XorArm xor_arm = run_xor_arm(xor_calls, seed);
+    const bool arena_bounded = xor_arm.arena_growth() <= 1.10;
+
     const double speedup = warm_s > 0 ? cold_s / warm_s : 0.0;
-    char json[2048];
+    char json[3072];
     std::snprintf(
         json, sizeof(json),
         "{\n"
@@ -257,7 +347,12 @@ int main() {
         "  \"no_contradictions\": %s,\n"
         "  \"warm_at_least_as_decisive\": %s,\n"
         "  \"deterministic\": %s,\n"
-        "  \"verdicts\": {\"sat\": %zu, \"unsat\": %zu, \"unknown\": %zu}\n"
+        "  \"verdicts\": {\"sat\": %zu, \"unsat\": %zu, \"unknown\": %zu},\n"
+        "  \"xor_arm\": {\"calls\": %zu, \"sat\": %zu, \"unsat\": %zu, "
+        "\"xor_propagations\": %llu, \"verdicts_ok\": %s, "
+        "\"arena_words_peak_tenth\": %zu, \"arena_words_peak\": %zu},\n"
+        "  \"arena_growth\": %.4f,\n"
+        "  \"arena_bounded\": %s\n"
         "}\n",
         num_vars, num_eqs, sweep_bits, n_candidates,
         static_cast<unsigned long long>(seed), cold_s, cold_noinproc_s,
@@ -269,7 +364,11 @@ int main() {
         warm_not_slower ? "true" : "false",
         identical ? "true" : "false", no_contradiction ? "true" : "false",
         as_decisive ? "true" : "false", deterministic ? "true" : "false",
-        n_sat, n_unsat, n_unknown);
+        n_sat, n_unsat, n_unknown, xor_arm.calls, xor_arm.sat, xor_arm.unsat,
+        static_cast<unsigned long long>(xor_arm.xor_propagations),
+        xor_arm.verdicts_ok ? "true" : "false", xor_arm.arena_peak_tenth,
+        xor_arm.arena_peak, xor_arm.arena_growth(),
+        arena_bounded ? "true" : "false");
 
     std::fputs(json, stdout);
     if (std::ofstream out{json_path}) out << json;
@@ -277,7 +376,8 @@ int main() {
 
     return (no_contradiction && as_decisive && deterministic &&
             inproc_verdicts_identical && inproc_overhead_ok &&
-            vivify_effort_ok && warm_not_slower)
+            vivify_effort_ok && warm_not_slower && xor_arm.verdicts_ok &&
+            arena_bounded)
                ? 0
                : 1;
 }

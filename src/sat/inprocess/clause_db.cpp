@@ -73,7 +73,7 @@ void ClauseDbManager::reduce(Solver& s) {
     // used since the last reduction move up to mid; mid clauses that sat
     // idle too long drop back to local. Core is permanent.
     for (const Solver::CRef cr : s.learnts_) {
-        Solver::Clause& c = s.clauses_[cr];
+        Solver::Clause& c = s.clause(cr);
         if (c.deleted) continue;
         if (c.tier == kMid) {
             if (c.used) {
@@ -97,13 +97,13 @@ void ClauseDbManager::reduce(Solver& s) {
     // (LBD desc, activity asc, cref asc) -- fully deterministic.
     std::vector<Solver::CRef> cand;
     for (const Solver::CRef cr : s.learnts_) {
-        const Solver::Clause& c = s.clauses_[cr];
+        const Solver::Clause& c = s.clause(cr);
         if (!c.deleted && c.tier == kLocal) cand.push_back(cr);
     }
     std::sort(cand.begin(), cand.end(),
               [&s](Solver::CRef a, Solver::CRef b) {
-                  const Solver::Clause& ca = s.clauses_[a];
-                  const Solver::Clause& cb = s.clauses_[b];
+                  const Solver::Clause& ca = s.clause(a);
+                  const Solver::Clause& cb = s.clause(b);
                   if (ca.lbd != cb.lbd) return ca.lbd > cb.lbd;
                   if (ca.activity != cb.activity)
                       return ca.activity < cb.activity;
@@ -113,18 +113,17 @@ void ClauseDbManager::reduce(Solver& s) {
     size_t removed = 0;
     for (const Solver::CRef cr : cand) {
         if (removed >= target) break;
-        Solver::Clause& c = s.clauses_[cr];
+        const Solver::Clause& c = s.clause(cr);
         // Backstop protections. The tier policy keeps glue (LBD <= 2,
         // which classify() places in core under any sane cut) out of the
         // local tier entirely, so these vetoes must never fire -- the
         // invariant tests pin both counters to 0.
-        if (c.lbd <= 2 || c.lits.size() <= 2) {
+        if (c.lbd <= 2 || c.size() <= 2) {
             ++glue_vetoes_;
             continue;
         }
-        const bool locked = !c.lits.empty() &&
-                            s.var_reason_[c.lits[0].var()] == cr &&
-                            s.value(c.lits[0]) == LBool::kTrue;
+        const bool locked = s.var_reason_[c[0].var()] == cr &&
+                            s.value(c[0]) == LBool::kTrue;
         if (locked) {
             ++locked_vetoes_;
             continue;
@@ -140,7 +139,7 @@ void ClauseDbManager::reduce(Solver& s) {
     std::vector<Solver::CRef> kept;
     kept.reserve(s.learnts_.size() - removed);
     for (const Solver::CRef cr : s.learnts_) {
-        if (!s.clauses_[cr].deleted) kept.push_back(cr);
+        if (!s.clause(cr).deleted) kept.push_back(cr);
     }
     s.learnts_ = std::move(kept);
 

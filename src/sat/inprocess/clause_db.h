@@ -29,7 +29,7 @@ class Solver;
 
 namespace bosphorus::sat::inprocess {
 
-/// Clause tier tags, stored in Solver::Clause::tier. kUntracked marks
+/// Clause tier tags, stored in the clause header (Solver::Clause::tier). kUntracked marks
 /// clauses the manager does not own: problem clauses, XOR conflict/reason
 /// clauses (allocated learnt but never entering the learnt list), and
 /// every clause when in-processing is disabled.

@@ -49,9 +49,9 @@ InstanceFeatures InstanceFeatures::extract(const Solver& s) {
     InstanceFeatures f;
     SizeAccum acc;
     for (const auto cr : s.problem_clauses_) {
-        const auto& c = s.clauses_[cr];
+        const auto& c = s.clause(cr);
         if (c.deleted) continue;
-        acc.add(c.lits.size());
+        acc.add(c.size());
     }
     const size_t xors = s.xor_engine_ ? s.xor_engine_->num_rows() : 0;
     acc.finish(f, s.num_vars(), xors);

@@ -10,8 +10,8 @@
 
 namespace bosphorus::sat::inprocess {
 
-void Vivifier::drop_clause(Solver& s, int32_t cref) {
-    Solver::Clause& c = s.clauses_[cref];
+void Vivifier::drop_clause(Solver& s, uint32_t cref) {
+    const Solver::Clause& c = s.clause(cref);
     if (c.learnt && c.tier != kUntracked && s.db_mgr_)
         s.db_mgr_->on_removed(static_cast<Tier>(c.tier));
     s.remove_clause(cref);
@@ -34,17 +34,16 @@ Vivifier::PassStats Vivifier::run(Solver& s, uint64_t tick_budget,
     }
 
     bool exhausted = false;
-    auto sweep = [&](std::vector<int32_t>& list, size_t& cursor) {
+    auto sweep = [&](std::vector<uint32_t>& list, size_t& cursor) {
         const size_t n = list.size();
         if (n == 0) return;
         if (cursor >= n) cursor = 0;
         for (size_t step = 0; step < n && !exhausted && s.ok_; ++step) {
             const size_t idx = (cursor + step) % n;
-            const int32_t cr = list[idx];
-            const Solver::Clause& c = s.clauses_[cr];
+            const uint32_t cr = list[idx];
+            const Solver::Clause& c = s.clause(cr);
             if (c.deleted) continue;
-            if (c.lits.size() < 3 || c.lits.size() > max_clause_size)
-                continue;
+            if (c.size() < 3 || c.size() > max_clause_size) continue;
             if (!vivify_one(s, cr, ticks_end, st)) {
                 exhausted = true;
                 cursor = idx;  // resume from this clause next pass
@@ -59,13 +58,12 @@ Vivifier::PassStats Vivifier::run(Solver& s, uint64_t tick_budget,
     // Compact deleted clauses out of the lists (cursors stay approximate
     // round-robin positions, which is all they promise).
     if (st.clauses_deleted > 0 || st.units_derived > 0) {
-        auto compact = [&s](std::vector<int32_t>& list) {
-            list.erase(
-                std::remove_if(list.begin(), list.end(),
-                               [&s](int32_t cr) {
-                                   return s.clauses_[cr].deleted;
-                               }),
-                list.end());
+        auto compact = [&s](std::vector<uint32_t>& list) {
+            list.erase(std::remove_if(list.begin(), list.end(),
+                                      [&s](uint32_t cr) {
+                                          return s.clause(cr).deleted;
+                                      }),
+                       list.end());
         };
         compact(s.learnts_);
         compact(s.problem_clauses_);
@@ -83,11 +81,10 @@ Vivifier::PassStats Vivifier::run(Solver& s, uint64_t tick_budget,
     return st;
 }
 
-bool Vivifier::vivify_one(Solver& s, int32_t cref, uint64_t ticks_end,
+bool Vivifier::vivify_one(Solver& s, uint32_t cref, uint64_t ticks_end,
                           PassStats& st) {
-    Solver::Clause& c = s.clauses_[cref];
     ++st.clauses_examined;
-    const size_t orig_size = c.lits.size();
+    const size_t orig_size = s.clause(cref).size();
 
     // Level-0 prescan. At decision level 0 every assignment is permanent:
     // a satisfied clause can be deleted outright, a falsified literal
@@ -95,7 +92,7 @@ bool Vivifier::vivify_one(Solver& s, int32_t cref, uint64_t ticks_end,
     // because the level-0 trail itself survives).
     std::vector<Lit>& work = work_;
     work.clear();
-    for (const Lit l : c.lits) {
+    for (const Lit l : s.clause(cref)) {
         const LBool v = s.value(l);
         if (v == LBool::kTrue) {
             drop_clause(s, cref);
@@ -184,9 +181,9 @@ bool Vivifier::vivify_one(Solver& s, int32_t cref, uint64_t ticks_end,
 
     st.literals_removed += orig_size - result.size();
     ++st.clauses_shrunk;
-    c.lits.assign(result.begin(), result.end());  // shrinks in place
-    const uint32_t new_lbd =
-        std::min(c.lbd, static_cast<uint32_t>(c.lits.size()));
+    s.shrink_clause(cref, result);
+    Solver::Clause& c = s.clause(cref);
+    const uint32_t new_lbd = std::min(c.lbd, c.size());
     if (new_lbd != c.lbd) {
         c.lbd = new_lbd;
         if (c.learnt && c.tier != kUntracked && s.db_mgr_)

@@ -57,12 +57,12 @@ public:
 private:
     /// Vivify one clause in place. Returns false when the budget expired
     /// before the clause was finished (the clause is left unchanged).
-    bool vivify_one(Solver& s, int32_t cref, uint64_t ticks_end,
+    bool vivify_one(Solver& s, uint32_t cref, uint64_t ticks_end,
                     PassStats& stats);
 
     /// Delete a clause from the database with tier bookkeeping. Works
     /// whether or not the clause is still attached.
-    static void drop_clause(Solver& s, int32_t cref);
+    static void drop_clause(Solver& s, uint32_t cref);
 
     // Round-robin cursors into Solver::learnts_ / problem_clauses_.
     size_t learnt_cursor_ = 0;

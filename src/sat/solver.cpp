@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <memory>
+#include <new>
 
 #include "sat/solve_cnf.h"
 #include "sat/xor_engine.h"
@@ -26,8 +28,9 @@ Solver::Solver(Config cfg) : cfg_(cfg) {
 Solver::~Solver() = default;
 
 Var Solver::new_var() {
-    const Var v = static_cast<Var>(assigns_.size());
-    assigns_.push_back(LBool::kUndef);
+    const Var v = static_cast<Var>(num_vars());
+    lit_value_.push_back(LBool::kUndef);
+    lit_value_.push_back(LBool::kUndef);
     polarity_.push_back(true);  // default phase: assign false first
     var_level_.push_back(0);
     var_reason_.push_back(kNoReason);
@@ -37,26 +40,29 @@ Var Solver::new_var() {
     watches_.emplace_back();
     watches_.emplace_back();
     insert_var_order(v);
-    if (xor_engine_) xor_engine_->ensure_num_vars(assigns_.size());
+    if (xor_engine_) xor_engine_->ensure_num_vars(num_vars());
     return v;
 }
 
-bool Solver::add_clause(std::vector<Lit> lits) {
+bool Solver::add_clause(const std::vector<Lit>& lits) {
     if (!ok_) return false;
     assert(decision_level() == 0);
 
-    // Canonicalise: sort, dedupe, drop false literals, detect tautology and
-    // satisfied clauses.
-    std::sort(lits.begin(), lits.end());
-    std::vector<Lit> out;
+    // Canonicalise in the scratch buffer: sort, dedupe, drop false
+    // literals, detect tautology and satisfied clauses.
+    std::vector<Lit>& out = add_buf_;
+    out.assign(lits.begin(), lits.end());
+    std::sort(out.begin(), out.end());
+    size_t kept = 0;
     Lit prev = lit_undef();
-    for (Lit l : lits) {
+    for (const Lit l : out) {
         assert(l.var() < num_vars());
         if (value(l) == LBool::kTrue || l == ~prev) return true;  // satisfied/tautology
         if (value(l) == LBool::kFalse || l == prev) continue;     // falsified/duplicate
-        out.push_back(l);
+        out[kept++] = l;
         prev = l;
     }
+    out.resize(kept);
 
     if (out.empty()) {
         ok_ = false;
@@ -66,7 +72,7 @@ bool Solver::add_clause(std::vector<Lit> lits) {
         enqueue(out[0], kNoReason);
         return ok_ = (propagate() == kNoReason);
     }
-    const CRef cr = alloc_clause(std::move(out), /*learnt=*/false);
+    const CRef cr = alloc_clause(out, /*learnt=*/false);
     problem_clauses_.push_back(cr);
     attach_clause(cr);
     return true;
@@ -139,26 +145,35 @@ bool Solver::load(const Cnf& cnf) {
 
 // ---------------------------------------------------------------- clauses
 
-Solver::CRef Solver::alloc_clause(std::vector<Lit> lits, bool learnt) {
-    const CRef cr = static_cast<CRef>(clauses_.size());
-    Clause c;
-    c.lits = std::move(lits);
-    c.learnt = learnt;
-    clauses_.push_back(std::move(c));
+Solver::CRef Solver::alloc_clause(std::span<const Lit> lits, bool learnt) {
+    const size_t at = arena_.size();
+    assert(at + kHeaderWords + lits.size() < kNoReason);
+    arena_.resize(at + kHeaderWords + lits.size());
+    auto* c = new (arena_.data() + at)
+        Clause(static_cast<uint32_t>(lits.size()), learnt);
+    std::uninitialized_copy(lits.begin(), lits.end(), c->begin());
+    return static_cast<CRef>(at);
+}
+
+Solver::CRef Solver::alloc_transient(std::span<const Lit> lits) {
+    // Learnt, so conflict analysis bumps it like any learnt clause.
+    const CRef cr = alloc_clause(lits, /*learnt=*/true);
+    clause(cr).transient = 1;
+    wasted_ += clause_words(clause(cr));
     return cr;
 }
 
 void Solver::attach_clause(CRef cr) {
-    const auto& lits = clauses_[cr].lits;
-    assert(lits.size() >= 2);
-    watches_[(~lits[0]).raw()].push_back({cr, lits[1]});
-    watches_[(~lits[1]).raw()].push_back({cr, lits[0]});
+    const Clause& c = clause(cr);
+    assert(c.size() >= 2);
+    watches_[(~c[0]).raw()].push_back({cr, c[1]});
+    watches_[(~c[1]).raw()].push_back({cr, c[0]});
 }
 
 void Solver::detach_clause(CRef cr) {
-    const auto& lits = clauses_[cr].lits;
+    const Clause& c = clause(cr);
     for (int i = 0; i < 2; ++i) {
-        auto& ws = watches_[(~lits[i]).raw()];
+        auto& ws = watches_[(~c[i]).raw()];
         for (size_t j = 0; j < ws.size(); ++j) {
             if (ws[j].cref == cr) {
                 ws[j] = ws.back();
@@ -171,17 +186,83 @@ void Solver::detach_clause(CRef cr) {
 
 void Solver::remove_clause(CRef cr) {
     detach_clause(cr);
-    clauses_[cr].deleted = true;
-    clauses_[cr].lits.clear();
-    clauses_[cr].lits.shrink_to_fit();
+    Clause& c = clause(cr);
+    c.deleted = 1;
+    wasted_ += clause_words(c);
     ++stats_.deleted_clauses;
+}
+
+void Solver::shrink_clause(CRef cr, std::span<const Lit> lits) {
+    Clause& c = clause(cr);
+    assert(lits.size() <= c.size());
+    std::copy(lits.begin(), lits.end(), c.begin());
+    wasted_ += c.size() - lits.size();
+    c.size_ = static_cast<uint32_t>(lits.size());
+}
+
+void Solver::maybe_collect_garbage() {
+    if (100 * wasted_ > kGcWastePercent * arena_.size()) collect_garbage();
+}
+
+void Solver::collect_garbage() {
+    // Live: every listed clause, and every transient clause that is still
+    // the reason of an assigned variable. A deleted clause can only be the
+    // reason of a level-0 variable, whose reason nothing reads; drop it.
+    std::vector<CRef> live;
+    live.reserve(problem_clauses_.size() + learnts_.size());
+    live.insert(live.end(), problem_clauses_.begin(), problem_clauses_.end());
+    live.insert(live.end(), learnts_.begin(), learnts_.end());
+    for (const Lit l : trail_) {
+        CRef& r = var_reason_[l.var()];
+        if (r == kNoReason) continue;
+        if (clause(r).deleted) {
+            assert(level(l.var()) == 0);
+            r = kNoReason;
+        } else if (clause(r).transient) {
+            live.push_back(r);
+        }
+    }
+    // Copying in old-offset order keeps crefs ordered as they were, so
+    // every cref comparison (reduce()'s tie-break) decides as before.
+    std::sort(live.begin(), live.end());
+    size_t live_words = 0;
+    for (const CRef cr : live) live_words += clause_words(clause(cr));
+    std::vector<uint32_t> to;
+    to.reserve(live_words);
+    size_t transient_words = 0;
+    for (const CRef cr : live) {
+        Clause& c = clause(cr);
+        assert(!c.deleted && !c.relocated);
+        const CRef moved = static_cast<CRef>(to.size());
+        to.insert(to.end(), arena_.data() + cr,
+                  arena_.data() + cr + clause_words(c));
+        if (c.transient) transient_words += clause_words(c);
+        c.relocated = 1;
+        c.lbd = moved;  // forwarding address
+    }
+    auto forward = [this](CRef& cr) {
+        assert(clause(cr).relocated);
+        cr = clause(cr).lbd;
+    };
+    for (CRef& cr : problem_clauses_) forward(cr);
+    for (CRef& cr : learnts_) forward(cr);
+    for (auto& ws : watches_)
+        for (Watcher& w : ws) forward(w.cref);
+    for (const Lit l : trail_) {
+        CRef& r = var_reason_[l.var()];
+        if (r != kNoReason) forward(r);
+    }
+    arena_.swap(to);
+    // Transient reasons stay waste: they die on the next backtrack.
+    wasted_ = transient_words;
 }
 
 // ------------------------------------------------------------ propagation
 
 void Solver::enqueue(Lit l, CRef reason) {
     assert(value(l) == LBool::kUndef);
-    assigns_[l.var()] = lbool_from(!l.sign());
+    lit_value_[l.raw()] = LBool::kTrue;
+    lit_value_[(~l).raw()] = LBool::kFalse;
     var_level_[l.var()] = decision_level();
     var_reason_[l.var()] = reason;
     trail_.push_back(l);
@@ -192,52 +273,59 @@ Solver::CRef Solver::propagate() {
     uint64_t ticks = 0;  // watch-list entries visited: the effort currency
     while (qhead_ < trail_.size()) {
         const Lit p = trail_[qhead_++];
+        const Lit false_lit = ~p;
         ++stats_.propagations;
-        auto& ws = watches_[p.raw()];
-        size_t i = 0, j = 0;
-        while (i < ws.size()) {
+        std::vector<Watcher>& ws = watches_[p.raw()];
+        Watcher* i = ws.data();
+        Watcher* j = i;
+        Watcher* const end = i + ws.size();
+        while (i != end) {
             ++ticks;
-            const Watcher w = ws[i];
-            if (value(w.blocker) == LBool::kTrue) {
-                ws[j++] = ws[i++];
+            const Lit blocker = i->blocker;
+            if (value(blocker) == LBool::kTrue) {
+                *j++ = *i++;
                 continue;
             }
-            Clause& c = clauses_[w.cref];
-            auto& lits = c.lits;
-            // Ensure the false literal (~p) is at position 1.
-            const Lit false_lit = ~p;
-            if (lits[0] == false_lit) std::swap(lits[0], lits[1]);
-            assert(lits[1] == false_lit);
+            const CRef cr = i->cref;
             ++i;
+            Clause& c = clause(cr);
+            Lit* lits = c.begin();
+            // Ensure the false literal (~p) is at position 1.
+            if (lits[0] == false_lit) {
+                lits[0] = lits[1];
+                lits[1] = false_lit;
+            }
+            assert(lits[1] == false_lit);
 
             const Lit first = lits[0];
-            if (first != w.blocker && value(first) == LBool::kTrue) {
-                ws[j++] = {w.cref, first};
+            const Watcher w{cr, first};
+            if (first != blocker && value(first) == LBool::kTrue) {
+                *j++ = w;
                 continue;
             }
-            // Look for a new literal to watch.
-            bool found = false;
-            for (size_t k = 2; k < lits.size(); ++k) {
-                if (value(lits[k]) != LBool::kFalse) {
-                    std::swap(lits[1], lits[k]);
-                    watches_[(~lits[1]).raw()].push_back({w.cref, first});
-                    found = true;
-                    break;
-                }
+            // Look for a new literal to watch. The new watch list is never
+            // ws itself (lits[k] is not false, ~p is), so i and j stay valid.
+            Lit* k = lits + 2;
+            Lit* const stop = lits + c.size();
+            while (k != stop && value(*k) == LBool::kFalse) ++k;
+            if (k != stop) {
+                lits[1] = *k;
+                *k = false_lit;
+                watches_[(~lits[1]).raw()].push_back(w);
+                continue;
             }
-            if (found) continue;
 
             // Clause is unit or conflicting.
-            ws[j++] = {w.cref, first};
+            *j++ = w;
             if (value(first) == LBool::kFalse) {
-                confl = w.cref;
+                confl = cr;
                 qhead_ = trail_.size();
-                while (i < ws.size()) ws[j++] = ws[i++];
+                while (i != end) *j++ = *i++;
             } else {
-                enqueue(first, w.cref);
+                enqueue(first, cr);
             }
         }
-        ws.resize(j);
+        ws.resize(static_cast<size_t>(j - ws.data()));
         if (confl != kNoReason) break;
     }
     (vivifying_ ? stats_.vivify_ticks : stats_.search_ticks) += ticks;
@@ -257,7 +345,7 @@ void Solver::analyze(CRef confl, std::vector<Lit>& out_learnt,
 
     do {
         assert(confl != kNoReason);
-        Clause& c = clauses_[confl];
+        Clause& c = clause(confl);
         if (c.learnt) {
             cla_bump(c);
             // In-processing: refresh the LBD of clauses participating in
@@ -266,7 +354,7 @@ void Solver::analyze(CRef confl, std::vector<Lit>& out_learnt,
             // conflict/reason clauses stay kUntracked and are skipped.
             if (c.tier != inprocess::kUntracked) {
                 c.used = 1;
-                const uint32_t nl = clause_lbd(c);
+                const uint32_t nl = clause_lbd(c.lits());
                 if (nl < c.lbd) {
                     c.lbd = nl;
                     c.tier = static_cast<uint8_t>(db_mgr_->on_lbd_improved(
@@ -276,8 +364,8 @@ void Solver::analyze(CRef confl, std::vector<Lit>& out_learnt,
         }
 
         const size_t start = (p == lit_undef()) ? 0 : 1;
-        for (size_t k = start; k < c.lits.size(); ++k) {
-            const Lit q = c.lits[k];
+        for (size_t k = start; k < c.size(); ++k) {
+            const Lit q = c[k];
             if (seen_[q.var()] || level(q.var()) == 0) continue;
             seen_[q.var()] = 1;
             var_bump(q.var());
@@ -325,18 +413,9 @@ void Solver::analyze(CRef confl, std::vector<Lit>& out_learnt,
         std::swap(out_learnt[1], out_learnt[max_i]);
         out_btlevel = level(out_learnt[1].var());
     }
-    // LBD: number of distinct decision levels among the literals.
-    uint32_t lbd = 0;
-    for (const Lit l : out_learnt) {
-        const int lv = level(l.var());
-        bool fresh = true;
-        for (const Lit m : out_learnt) {
-            if (m == l) break;
-            if (level(m.var()) == lv) { fresh = false; break; }
-        }
-        if (fresh) ++lbd;
-    }
-    out_lbd = lbd;
+    // Minimisation never keeps a level-0 literal, so this is the plain
+    // count of distinct levels.
+    out_lbd = clause_lbd(out_learnt);
 }
 
 bool Solver::lit_redundant(Lit l, uint32_t abstract_levels) {
@@ -347,9 +426,9 @@ bool Solver::lit_redundant(Lit l, uint32_t abstract_levels) {
         const Lit q = analyze_stack_.back();
         analyze_stack_.pop_back();
         assert(var_reason_[q.var()] != kNoReason);
-        const Clause& c = clauses_[var_reason_[q.var()]];
-        for (size_t i = 1; i < c.lits.size(); ++i) {
-            const Lit p = c.lits[i];
+        const Clause& c = clause(var_reason_[q.var()]);
+        for (size_t i = 1; i < c.size(); ++i) {
+            const Lit p = c[i];
             if (seen_[p.var()] || level(p.var()) == 0) continue;
             if (var_reason_[p.var()] == kNoReason ||
                 !((1u << (level(p.var()) & 31)) & abstract_levels)) {
@@ -372,7 +451,8 @@ void Solver::cancel_until(int target_level) {
     const size_t new_size = trail_lim_[target_level];
     for (size_t i = trail_.size(); i-- > new_size;) {
         const Var v = trail_[i].var();
-        assigns_[v] = LBool::kUndef;
+        lit_value_[mk_lit(v).raw()] = LBool::kUndef;
+        lit_value_[mk_lit(v, true).raw()] = LBool::kUndef;
         polarity_[v] = trail_[i].sign();
         var_reason_[v] = kNoReason;
         if (heap_pos_[v] < 0) insert_var_order(v);
@@ -400,7 +480,7 @@ void Solver::var_decay_all() { var_inc_ /= eff_var_decay_; }
 void Solver::cla_bump(Clause& c) {
     c.activity += static_cast<float>(cla_inc_);
     if (c.activity > 1e20f) {
-        for (CRef cr : learnts_) clauses_[cr].activity *= 1e-20f;
+        for (CRef cr : learnts_) clause(cr).activity *= 1e-20f;
         cla_inc_ *= 1e-20;
     }
 }
@@ -455,7 +535,7 @@ Lit Solver::pick_branch_lit() {
         heap_.pop_back();
         heap_pos_[v] = -1;
         if (!heap_.empty()) heap_down(0);
-        if (assigns_[v] == LBool::kUndef) return mk_lit(v, polarity_[v]);
+        if (value(v) == LBool::kUndef) return mk_lit(v, polarity_[v]);
     }
     return lit_undef();
 }
@@ -466,8 +546,8 @@ void Solver::reduce_db() {
     // Order learnts: glue (LBD <= 2) are protected; otherwise prefer to
     // delete high-LBD, low-activity clauses.
     std::sort(learnts_.begin(), learnts_.end(), [this](CRef a, CRef b) {
-        const Clause& ca = clauses_[a];
-        const Clause& cb = clauses_[b];
+        const Clause& ca = clause(a);
+        const Clause& cb = clause(b);
         if ((ca.lbd <= 2) != (cb.lbd <= 2)) return cb.lbd <= 2;
         if (ca.lbd != cb.lbd) return ca.lbd > cb.lbd;
         return ca.activity < cb.activity;
@@ -478,11 +558,10 @@ void Solver::reduce_db() {
     size_t removed = 0;
     for (size_t i = 0; i < learnts_.size(); ++i) {
         const CRef cr = learnts_[i];
-        Clause& c = clauses_[cr];
-        const bool locked = !c.lits.empty() &&
-                            var_reason_[c.lits[0].var()] == cr &&
-                            value(c.lits[0]) == LBool::kTrue;
-        if (removed < limit && c.lbd > 2 && c.lits.size() > 2 && !locked) {
+        const Clause& c = clause(cr);
+        const bool locked = var_reason_[c[0].var()] == cr &&
+                            value(c[0]) == LBool::kTrue;
+        if (removed < limit && c.lbd > 2 && c.size() > 2 && !locked) {
             remove_clause(cr);
             ++removed;
         } else {
@@ -559,12 +638,12 @@ void Solver::publish_search_ticks() {
     search_ticks_published_ = stats_.search_ticks;
 }
 
-uint32_t Solver::clause_lbd(const Clause& c) {
-    // Only valid for fully assigned clauses (conflict/reason clauses in
-    // analyze): unassigned variables carry stale levels.
+uint32_t Solver::clause_lbd(std::span<const Lit> lits) {
+    // Only valid for fully assigned literals (analyze): unassigned
+    // variables carry stale levels.
     ++lbd_stamp_;
     uint32_t lbd = 0;
-    for (const Lit l : c.lits) {
+    for (const Lit l : lits) {
         const int lv = level(l.var());
         if (lv == 0) continue;  // level-0 literals are effectively gone
         if (static_cast<size_t>(lv) >= level_stamp_.size())
@@ -581,13 +660,15 @@ bool Solver::check_db_invariants() const {
     // 1. Clause lists hold only live clauses with consistent flags; the
     //    tier counts match a full recount.
     for (const CRef cr : problem_clauses_) {
-        const Clause& c = clauses_[cr];
-        if (c.deleted || c.learnt) return false;
+        if (cr >= arena_.size()) return false;
+        const Clause& c = clause(cr);
+        if (c.deleted || c.learnt || c.transient) return false;
     }
     inprocess::ClauseDbManager::TierCounts recount;
     for (const CRef cr : learnts_) {
-        const Clause& c = clauses_[cr];
-        if (c.deleted || !c.learnt) return false;
+        if (cr >= arena_.size()) return false;
+        const Clause& c = clause(cr);
+        if (c.deleted || !c.learnt || c.transient) return false;
         if (db_mgr_) {
             switch (c.tier) {
                 case inprocess::kCore: ++recount.core; break;
@@ -605,20 +686,20 @@ bool Solver::check_db_invariants() const {
     }
     // 2. Every watcher points at a live clause and watches one of its
     //    first two literals; every listed clause is watched exactly twice.
-    std::vector<uint8_t> watch_count(clauses_.size(), 0);
+    std::vector<uint8_t> watch_count(arena_.size(), 0);
     for (size_t raw = 0; raw < watches_.size(); ++raw) {
         const Lit watched = ~Lit::from_raw(static_cast<uint32_t>(raw));
         for (const Watcher& w : watches_[raw]) {
-            const Clause& c = clauses_[w.cref];
-            if (c.deleted || c.lits.size() < 2) return false;
-            if (c.lits[0] != watched && c.lits[1] != watched) return false;
+            if (w.cref >= arena_.size()) return false;
+            const Clause& c = clause(w.cref);
+            if (c.deleted || c.transient || c.size() < 2) return false;
+            if (c[0] != watched && c[1] != watched) return false;
             if (watch_count[w.cref] >= 2) return false;
             ++watch_count[w.cref];
         }
     }
     for (const CRef cr : problem_clauses_) {
-        if (clauses_[cr].lits.size() >= 2 && watch_count[cr] != 2)
-            return false;
+        if (watch_count[cr] != 2) return false;
     }
     for (const CRef cr : learnts_) {
         if (watch_count[cr] != 2) return false;
@@ -629,10 +710,17 @@ bool Solver::check_db_invariants() const {
         if (var_level_[l.var()] == 0) continue;
         const CRef r = var_reason_[l.var()];
         if (r == kNoReason) continue;
-        const Clause& c = clauses_[r];
-        if (c.deleted || c.lits.empty() || c.lits[0] != l) return false;
+        if (r >= arena_.size()) return false;
+        const Clause& c = clause(r);
+        if (c.deleted || c[0] != l) return false;
     }
-    return true;
+    // 4. The wasted-word count is exact: the arena less the words of the
+    //    listed clauses (transient clauses are waste from allocation on).
+    size_t listed_words = 0;
+    for (const CRef cr : problem_clauses_)
+        listed_words += clause_words(clause(cr));
+    for (const CRef cr : learnts_) listed_words += clause_words(clause(cr));
+    return listed_words + wasted_ == arena_.size();
 }
 
 void Solver::debug_force_reduce() {
@@ -641,6 +729,7 @@ void Solver::debug_force_reduce() {
     } else {
         reduce_db();
     }
+    maybe_collect_garbage();
 }
 
 inprocess::Vivifier::PassStats Solver::debug_force_vivify(
@@ -757,7 +846,7 @@ Result Solver::solve_assuming(const std::vector<Lit>& assumptions,
             std::vector<Lit> xconfl;
             if (!xor_engine_->propagate(xconfl)) {
                 // Materialise the conflicting XOR row as a clause.
-                confl = alloc_clause(std::move(xconfl), /*learnt=*/true);
+                confl = alloc_transient(xconfl);
             } else if (qhead_ < trail_.size()) {
                 continue;  // XOR enqueued literals: run clause propagation
             }
@@ -781,16 +870,16 @@ Result Solver::solve_assuming(const std::vector<Lit>& assumptions,
                 enqueue(learnt_clause[0], kNoReason);
             } else {
                 const CRef cr = alloc_clause(learnt_clause, /*learnt=*/true);
-                clauses_[cr].lbd = lbd;
+                Clause& c = clause(cr);
+                c.lbd = lbd;
                 if (inprocessing_on()) {
-                    clauses_[cr].tier =
-                        static_cast<uint8_t>(db_mgr_->classify(lbd));
-                    clauses_[cr].used = 1;
+                    c.tier = static_cast<uint8_t>(db_mgr_->classify(lbd));
+                    c.used = 1;
                     db_mgr_->on_learnt(lbd);
                 }
                 learnts_.push_back(cr);
                 attach_clause(cr);
-                cla_bump(clauses_[cr]);
+                cla_bump(c);
                 enqueue(learnt_clause[0], cr);
             }
             ++stats_.learnt_clauses;
@@ -848,14 +937,18 @@ Result Solver::solve_assuming(const std::vector<Lit>& assumptions,
                         break;
                     }
                 }
+                maybe_collect_garbage();
                 continue;
             }
             if (inprocessing_on()) {
-                if (db_mgr_->should_reduce(problem_clauses_.size()))
+                if (db_mgr_->should_reduce(problem_clauses_.size())) {
                     db_mgr_->reduce(*this);
+                    maybe_collect_garbage();
+                }
             } else if (static_cast<double>(learnts_.size()) >= max_learnts_) {
                 reduce_db();
                 max_learnts_ *= cfg_.learnt_growth;
+                maybe_collect_garbage();
             }
             // Re-enqueue any assumption not yet decided (restarts and
             // backjumps may have unwound them) before real branching.
@@ -892,7 +985,8 @@ Result Solver::solve_assuming(const std::vector<Lit>& assumptions,
             if (next == lit_undef()) next = pick_branch_lit();
             if (next == lit_undef()) {
                 // All variables assigned: a model.
-                model_.assign(assigns_.begin(), assigns_.end());
+                model_.resize(num_vars());
+                for (Var v = 0; v < num_vars(); ++v) model_[v] = value(v);
                 result = Result::kSat;
                 break;
             }
@@ -903,6 +997,8 @@ Result Solver::solve_assuming(const std::vector<Lit>& assumptions,
     }
 
     cancel_until(0);
+    // Back at level 0 every XOR reason of this call is garbage.
+    maybe_collect_garbage();
     // Export new level-0 implied literals as learnt unit facts.
     while (units_reported_ < trail_.size()) {
         learnt_units_.push_back(trail_[units_reported_++]);

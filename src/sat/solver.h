@@ -4,7 +4,8 @@
 // the paper (MiniSat, Lingeling, CryptoMiniSat5). The core implements the
 // standard modern CDCL loop: two-watched-literal propagation, first-UIP
 // conflict analysis with recursive clause minimisation, EVSIDS branching,
-// phase saving, Luby restarts and activity/LBD-based learnt-clause deletion.
+// phase saving, Luby restarts and activity/LBD-based learnt-clause deletion,
+// over clauses kept in one flat, garbage-collected arena.
 //
 // Two features matter specifically for Bosphorus:
 //  * a *conflict budget* (the paper bounds the in-loop solver by conflicts,
@@ -23,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -100,10 +102,10 @@ public:
     Solver& operator=(const Solver&) = delete;
 
     Var new_var();
-    size_t num_vars() const { return assigns_.size(); }
+    size_t num_vars() const { return var_level_.size(); }
 
     /// Add a clause. Returns false if the formula became trivially UNSAT.
-    bool add_clause(std::vector<Lit> lits);
+    bool add_clause(const std::vector<Lit>& lits);
 
     /// Add a native XOR constraint (only meaningful with Config::enable_xor;
     /// otherwise it is expanded into CNF clauses internally).
@@ -180,8 +182,8 @@ public:
     const Stats& stats() const { return stats_; }
 
     /// Current value of a literal under the partial assignment.
-    LBool value(Lit l) const { return assigns_[l.var()] ^ l.sign(); }
-    LBool value(Var v) const { return assigns_[v]; }
+    LBool value(Lit l) const { return lit_value_[l.raw()]; }
+    LBool value(Var v) const { return lit_value_[mk_lit(v).raw()]; }
 
     // ---- in-processing observability / test hooks ----------------------
 
@@ -210,8 +212,12 @@ public:
     /// callback sees): clause lists hold no deleted clauses, every listed
     /// clause is watched on exactly its first two literals, reasons of
     /// assigned variables above level 0 are live with the implied literal
-    /// first, and the tier counts match a full recount.
+    /// first, the tier counts match a full recount, and the arena's
+    /// wasted-word count matches its size less the listed clauses.
     bool check_db_invariants() const;
+
+    /// Words the clause arena holds now, live and wasted. Test hook.
+    size_t arena_words() const { return arena_.size(); }
 
     /// Force one reduction sweep now (tiered when in-processing is on,
     /// legacy reduce_db otherwise). Test hook.
@@ -230,21 +236,62 @@ private:
     friend struct inprocess::InstanceFeatures;
 
     // ---- clause storage ----------------------------------------------
+    // Clauses live in one flat arena of 32-bit words (arena_): a
+    // kHeaderWords-word header followed by the literals inline. A CRef is
+    // the word offset of the header. Allocation only appends, so crefs
+    // increase with age, and collect_garbage() relocates live clauses in
+    // that same order.
     struct Clause {
-        std::vector<Lit> lits;
-        float activity = 0.0f;
-        uint32_t lbd = 0;
-        bool learnt = false;
-        bool deleted = false;
+        Clause(uint32_t size, bool is_learnt)
+            : size_(size), learnt(is_learnt), deleted(0), transient(0),
+              relocated(0) {}
+
+        uint32_t size() const { return size_; }
+        Lit* begin() { return reinterpret_cast<Lit*>(this + 1); }
+        Lit* end() { return begin() + size_; }
+        const Lit* begin() const {
+            return reinterpret_cast<const Lit*>(this + 1);
+        }
+        const Lit* end() const { return begin() + size_; }
+        Lit& operator[](size_t i) { return begin()[i]; }
+        Lit operator[](size_t i) const { return begin()[i]; }
+        std::span<const Lit> lits() const { return {begin(), size_}; }
+
+        uint32_t size_;  ///< live literals; only shrink_clause() lowers it
+        uint8_t learnt : 1;
+        uint8_t deleted : 1;
+        /// Never listed: an XOR reason or conflict clause, garbage from
+        /// allocation on and kept by a collection only while it is the
+        /// reason of an assigned variable.
+        uint8_t transient : 1;
+        uint8_t relocated : 1;  ///< collect_garbage(): lbd holds the new cref
         // In-processing bookkeeping. tier is kUntracked for clauses the
         // ClauseDbManager does not manage (problem clauses, XOR
         // conflict/reason clauses, everything when in-processing is off).
         uint8_t tier = inprocess::kUntracked;
         uint8_t used = 0;  ///< participated in a conflict since last reduce
         uint8_t idle = 0;  ///< reductions spent unused in the mid tier
+        uint32_t lbd = 0;
+        float activity = 0.0f;
     };
-    using CRef = int32_t;
-    static constexpr CRef kNoReason = -1;
+    static constexpr uint32_t kHeaderWords = sizeof(Clause) / sizeof(uint32_t);
+    static_assert(sizeof(Clause) == 4 * sizeof(uint32_t) &&
+                  sizeof(Lit) == sizeof(uint32_t));
+    /// A collection runs once wasted words pass this share of the arena.
+    static constexpr size_t kGcWastePercent = 20;
+
+    using CRef = uint32_t;
+    static constexpr CRef kNoReason = 0xFFFFFFFFu;
+
+    Clause& clause(CRef cr) {
+        return *reinterpret_cast<Clause*>(arena_.data() + cr);
+    }
+    const Clause& clause(CRef cr) const {
+        return *reinterpret_cast<const Clause*>(arena_.data() + cr);
+    }
+    static size_t clause_words(const Clause& c) {
+        return kHeaderWords + c.size();
+    }
 
     struct Watcher {
         CRef cref;
@@ -267,8 +314,9 @@ private:
     inprocess::Vivifier::PassStats run_vivify_pass(uint64_t tick_budget);
     /// Add the search ticks not yet published to inprocess::counters().
     void publish_search_ticks();
-    /// Recompute the LBD of a fully assigned clause (analyze-time hook).
-    uint32_t clause_lbd(const Clause& c);
+    /// Distinct nonzero decision levels among fully assigned literals:
+    /// the LBD of a fresh learnt clause or of a conflict/reason clause.
+    uint32_t clause_lbd(std::span<const Lit> lits);
 
     // ---- search -------------------------------------------------------
     CRef propagate();
@@ -299,21 +347,31 @@ private:
     void heap_down(size_t i);
     bool heap_lt(Var a, Var b) const;
 
-    CRef alloc_clause(std::vector<Lit> lits, bool learnt);
+    CRef alloc_clause(std::span<const Lit> lits, bool learnt);
+    /// An XOR reason or conflict clause: counted as wasted at once.
+    CRef alloc_transient(std::span<const Lit> lits);
     void attach_clause(CRef cr);
     void detach_clause(CRef cr);
     void remove_clause(CRef cr);
+    /// Overwrite a clause with a subset `lits` of its literals (at most
+    /// its size); the freed tail words become waste.
+    void shrink_clause(CRef cr, std::span<const Lit> lits);
+    /// Compact the arena once wasted words pass kGcWastePercent. Callers
+    /// hold no CRef across it: level 0, or right after a reduction.
+    void maybe_collect_garbage();
+    void collect_garbage();
 
     Config cfg_;
     Stats stats_;
     bool ok_ = true;
 
-    std::vector<Clause> clauses_;        // arena; CRef indexes into this
+    std::vector<uint32_t> arena_;        // clause storage; CRef = offset
+    size_t wasted_ = 0;                  // arena words no listed clause uses
     std::vector<CRef> problem_clauses_;  // original clauses
     std::vector<CRef> learnts_;          // learnt clauses
 
     std::vector<std::vector<Watcher>> watches_;  // indexed by Lit raw
-    std::vector<LBool> assigns_;                 // by var
+    std::vector<LBool> lit_value_;               // indexed by Lit raw
     std::vector<bool> polarity_;                 // phase saving, by var
     std::vector<int> var_level_;                 // by var
     std::vector<CRef> var_reason_;               // by var
@@ -332,6 +390,8 @@ private:
     std::vector<uint8_t> seen_;
     std::vector<Lit> analyze_stack_;
     std::vector<Lit> analyze_clear_;
+    // add_clause() scratch: the clause being canonicalised.
+    std::vector<Lit> add_buf_;
 
     std::vector<LBool> model_;
     std::vector<Lit> failed_assumptions_;  // refuted by the last solve call

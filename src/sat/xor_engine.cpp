@@ -37,10 +37,10 @@ XorEngine::RowState XorEngine::scan(const Row& row) const {
     return st;
 }
 
-std::vector<Lit> XorEngine::reason_clause(const Row& row, Var implied_var,
-                                          bool implied_value) const {
-    std::vector<Lit> clause;
-    clause.reserve(row.vars.size());
+void XorEngine::reason_clause(const Row& row, Var implied_var,
+                              bool implied_value,
+                              std::vector<Lit>& clause) const {
+    clause.clear();
     // The implied literal goes first (CDCL reason-clause convention).
     clause.push_back(mk_lit(implied_var, !implied_value));
     for (Var v : row.vars) {
@@ -48,11 +48,12 @@ std::vector<Lit> XorEngine::reason_clause(const Row& row, Var implied_var,
         // Push the literal that is false under the current assignment.
         clause.push_back(mk_lit(v, solver_.value(v) == LBool::kTrue));
     }
-    return clause;
 }
 
 bool XorEngine::gauss_jordan_level0() {
-    if (rows_.empty()) return true;
+    // The pass's output depends on the rows alone, and what it derived
+    // last time is still in the solver: rerun only after new rows.
+    if (rows_.size() == gje_rows_) return solver_.okay();
 
     // Column space: only variables that occur in some XOR, plus the
     // right-hand-side column at the end.
@@ -101,6 +102,7 @@ bool XorEngine::gauss_jordan_level0() {
                 return false;
         }
     }
+    gje_rows_ = rows_.size();
     return solver_.okay();
 }
 
@@ -124,10 +126,13 @@ bool XorEngine::propagate(std::vector<Lit>& out_conflict) {
                 }
             } else if (st.unassigned == 1) {
                 const bool val = row.rhs ^ st.parity_of_assigned;
-                std::vector<Lit> reason =
-                    reason_clause(row, st.last_unassigned, val);
-                const Solver::CRef cr =
-                    solver_.alloc_clause(std::move(reason), /*learnt=*/true);
+                // Conflict analysis never reads the reason of a level-0
+                // variable, so only implications above level 0 get one.
+                Solver::CRef cr = Solver::kNoReason;
+                if (solver_.decision_level() > 0) {
+                    reason_clause(row, st.last_unassigned, val, reason_);
+                    cr = solver_.alloc_transient(reason_);
+                }
                 solver_.enqueue(mk_lit(st.last_unassigned, !val), cr);
                 ++solver_.stats_.xor_propagations;
             }

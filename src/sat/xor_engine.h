@@ -11,7 +11,9 @@
 //     unassigned variables; when a row has a single unassigned variable left
 //     its value is implied, and a fully assigned row with wrong parity is a
 //     conflict. Reasons are materialised as clauses so the CDCL conflict
-//     analysis works unchanged.
+//     analysis works unchanged. They are transient: a reason clause is
+//     garbage once its variable is unassigned, and the solver's arena
+//     collection reclaims it.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +39,8 @@ public:
     /// Run Gauss-Jordan elimination over all rows at decision level 0.
     /// Derived units are enqueued into the solver; derived equivalences are
     /// added as binary clauses. Returns false on GF(2)-level inconsistency
-    /// (0 = 1 row).
+    /// (0 = 1 row). A no-op returning okay() when no row was added since
+    /// the last pass: its output is already in the solver.
     bool gauss_jordan_level0();
 
     /// Propagate all XOR rows against the current assignment, starting from
@@ -67,16 +70,17 @@ private:
     };
     RowState scan(const Row& row) const;
 
-    /// Reason clause asserting `implied` given the other (assigned) vars of
-    /// the row. If `implied_var` is out of the row (conflict case), pass
-    /// the full row falsification.
-    std::vector<Lit> reason_clause(const Row& row, Var implied_var,
-                                   bool implied_value) const;
+    /// Reason clause asserting `implied_var = implied_value` given the
+    /// other (assigned) vars of the row, written to `clause`.
+    void reason_clause(const Row& row, Var implied_var, bool implied_value,
+                       std::vector<Lit>& clause) const;
 
     Solver& solver_;
     std::vector<Row> rows_;
     std::vector<std::vector<uint32_t>> occ_;  // var -> row indices
     size_t qhead_ = 0;                        // cursor into solver trail
+    size_t gje_rows_ = 0;  // rows_.size() at the last Gauss-Jordan pass
+    std::vector<Lit> reason_;  // propagate() scratch
 };
 
 }  // namespace bosphorus::sat

@@ -354,6 +354,45 @@ TEST(ClauseDb, TieredReduceKeepsInvariantsAndProtections) {
     EXPECT_EQ(s.db_glue_delete_vetoes(), 0u);
 }
 
+TEST(ClauseDb, ArenaCollectionMidSearchKeepsXorReasons) {
+    // Frequent reductions on an XOR-propagating search: collections then
+    // run right after a reduction, with XOR reason clauses of the current
+    // trail still live. Pigeonhole stays UNSAT whatever rows are added.
+    Cnf cnf = cnfgen::pigeonhole(7);
+    Rng rng(testutil::test_seed(11) * 1000003 + 5);
+    for (int i = 0; i < 2; ++i) {
+        XorConstraint x;
+        for (int j = 0; j < 6; ++j)
+            x.vars.push_back(static_cast<Var>(rng.below(cnf.num_vars)));
+        x.rhs = rng.coin();
+        cnf.xors.push_back(std::move(x));
+    }
+    Solver::Config cfg = inproc_config(true);
+    cfg.enable_xor = true;
+    cfg.inprocess.local_cap_min = 40;
+    Solver s(cfg);
+    ASSERT_TRUE(s.load(cnf));
+    // Polled at conflict/decision boundaries: the invariants (including
+    // the wasted-word recount) every 64th poll, and whether the arena
+    // shrank since the last poll, which only a collection does.
+    size_t last_words = 0;
+    bool collected = false;
+    bool invariants_held = true;
+    int polls = 0;
+    s.set_terminate_callback([&] {
+        collected |= s.arena_words() < last_words;
+        last_words = s.arena_words();
+        if ((++polls & 63) == 0 && !s.check_db_invariants())
+            invariants_held = false;
+        return false;
+    });
+    EXPECT_EQ(s.solve(200'000), Result::kUnsat);
+    EXPECT_TRUE(invariants_held);
+    EXPECT_GT(s.stats().xor_propagations, 0u);
+    EXPECT_GT(s.stats().db_reductions, 0u);
+    EXPECT_TRUE(collected) << "no arena collection ran";
+}
+
 TEST(ClauseDb, ForcedSweepKeepsPropagationIntegrity) {
     const uint64_t base_seed = testutil::test_seed(11);
     for (int inst = 0; inst < 6; ++inst) {

@@ -4,9 +4,12 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 
 #include "bosphorus/sat_backend.h"
 #include "cnfgen/generators.h"
+#include "core/anf_to_cnf.h"
+#include "crypto/aes_small.h"
 #include "sat/dimacs.h"
 #include "sat/preprocess.h"
 #include "test_util.h"
@@ -667,6 +670,251 @@ TEST(Dimacs, XorRoundTripPreservesSemantics) {
     const Cnf back = read_dimacs_from_string(out.str());
     ASSERT_EQ(back.xors.size(), 2u);
     EXPECT_EQ(cnf_models(back), cnf_models(cnf));
+}
+
+// ---- search trajectories and warm-solver bounds ---------------------------
+
+/// What one cold solve plus 20 warm solve_assuming calls did, summed
+/// over the calls.
+struct Trajectory {
+    uint64_t conflicts = 0;
+    uint64_t decisions = 0;
+    uint64_t propagations = 0;
+    uint64_t search_ticks = 0;
+    uint64_t vivify_ticks = 0;
+    size_t learnt_units = 0;
+    size_t learnt_binaries = 0;
+    std::string verdicts;  ///< 'S', 'U' or '?' per call, cold call first
+};
+
+/// Warm calls assume `n_assume` random variables among the first
+/// `assume_vars`, each set to its `witness` value with probability 7/8
+/// (to a random value without a witness); every call is capped at 2000
+/// conflicts.
+Trajectory run_trajectory(const Cnf& cnf, const Solver::Config& cfg,
+                          size_t assume_vars, int n_assume,
+                          const std::vector<bool>& witness, uint64_t seed) {
+    Solver s(cfg);
+    Trajectory t;
+    const bool loaded = s.load(cnf);
+    Rng rng(seed);
+    for (int call = 0; call <= 20; ++call) {
+        std::vector<Lit> assume;
+        for (int k = 0; call > 0 && k < n_assume; ++k) {
+            const Var v = static_cast<Var>(rng.below(assume_vars));
+            const bool value =
+                witness.empty() ? rng.coin() : witness[v] != (rng.below(8) == 0);
+            assume.push_back(mk_lit(v, !value));
+        }
+        const Result r =
+            loaded ? s.solve_assuming(assume, 2'000) : Result::kUnsat;
+        t.verdicts += r == Result::kSat ? 'S' : r == Result::kUnsat ? 'U' : '?';
+    }
+    const Solver::Stats& st = s.stats();
+    t.conflicts = st.conflicts;
+    t.decisions = st.decisions;
+    t.propagations = st.propagations;
+    t.search_ticks = st.search_ticks;
+    t.vivify_ticks = st.vivify_ticks;
+    t.learnt_units = s.learnt_units().size();
+    t.learnt_binaries = s.learnt_binaries().size();
+    return t;
+}
+
+struct SrCnf {
+    Cnf cnf;
+    std::vector<bool> witness;
+};
+
+SrCnf sr_cnf(uint64_t seed) {
+    Rng rng(seed);
+    auto inst = crypto::SmallScaleAes({2, 2, 2, 4}).random_instance(rng);
+    return {core::anf_to_cnf(inst.polys, inst.witness.size(), {}).cnf,
+            std::move(inst.witness)};
+}
+
+TEST(Solver, GoldenTrajectory) {
+    // Clause storage is an implementation detail: reorganising it (or
+    // collecting its garbage) must not move a single decision. These
+    // figures were recorded with the previous storage (one heap vector
+    // per clause, no collection) and must repeat exactly. The XOR case
+    // uses rows whose elimination yields no binary clause.
+    Solver::Config legacy;
+    legacy.inprocess.enabled = false;
+    Solver::Config with_xor;
+    with_xor.enable_xor = true;
+    Rng xor_rng(17);
+    Cnf xor_cnf = cnfgen::random_ksat(60, 150, 3, xor_rng);
+    for (int i = 0; i < 12; ++i) {
+        XorConstraint x;
+        for (int j = 0; j < 5; ++j)
+            x.vars.push_back(static_cast<Var>(xor_rng.below(60)));
+        x.rhs = xor_rng.coin();
+        xor_cnf.xors.push_back(std::move(x));
+    }
+    struct Case {
+        const char* name;
+        Cnf cnf;
+        Solver::Config cfg;
+        size_t assume_vars;
+        int n_assume;
+        std::vector<bool> witness;
+        Trajectory want;
+    };
+    const SrCnf sr11 = sr_cnf(11), sr12 = sr_cnf(12);
+    const Case cases[] = {
+        {"sr-11", sr11.cnf, {}, 16, 8, sr11.witness,
+         {7096, 9378, 1011834, 21606850, 2160593, 0, 0,
+          "?UUSSUUSUUUUSUUSSSUUU"}},
+        {"sr-12", sr12.cnf, {}, 16, 8, sr12.witness,
+         {5977, 7962, 670668, 14256812, 1426356, 0, 1,
+          "?UUSSUUSUUUUSUUSSSUUU"}},
+        {"sr-11-legacy", sr11.cnf, legacy, 16, 8, sr11.witness,
+         {5011, 6297, 494755, 10148549, 0, 0, 0, "?UUSSUUSUUUUSUUSSSUUU"}},
+        {"ksat", cnfgen::random_ksat(120, 480, 3, xor_rng), {}, 120, 3, {},
+         {2130, 2799, 62133, 637387, 59414, 0, 1, "SUSSUSSUSUSSSUUSSSUSS"}},
+        {"xor", xor_cnf, with_xor, 60, 3, {},
+         {74, 450, 2950, 7741, 744, 0, 0, "SSSSSSSSSSSSSSSSSSSSS"}},
+    };
+    for (const Case& c : cases) {
+        const Trajectory got = run_trajectory(c.cnf, c.cfg, c.assume_vars,
+                                              c.n_assume, c.witness, 5);
+        const Trajectory& want = c.want;
+        EXPECT_EQ(got.conflicts, want.conflicts) << c.name;
+        EXPECT_EQ(got.decisions, want.decisions) << c.name;
+        EXPECT_EQ(got.propagations, want.propagations) << c.name;
+        EXPECT_EQ(got.search_ticks, want.search_ticks) << c.name;
+        EXPECT_EQ(got.vivify_ticks, want.vivify_ticks) << c.name;
+        EXPECT_EQ(got.learnt_units, want.learnt_units) << c.name;
+        EXPECT_EQ(got.learnt_binaries, want.learnt_binaries) << c.name;
+        EXPECT_EQ(got.verdicts, want.verdicts) << c.name;
+    }
+}
+
+/// A planted `n`-variable random 3-SAT instance (every clause satisfied
+/// by `planted`), for warm sweeps that need both verdicts.
+Cnf planted_ksat(size_t n, size_t clauses, uint32_t planted, Rng& rng) {
+    Cnf cnf = cnfgen::random_ksat(n, clauses, 3, rng);
+    for (auto& clause : cnf.clauses) {
+        const bool satisfied =
+            std::any_of(clause.begin(), clause.end(), [&](Lit l) {
+                return ((planted >> l.var()) & 1) != l.sign();
+            });
+        if (!satisfied) clause[0] = ~clause[0];
+    }
+    return cnf;
+}
+
+XorConstraint planted_xor(std::vector<Var> vars, uint32_t planted) {
+    bool rhs = false;
+    for (const Var v : vars) rhs ^= (planted >> v) & 1;
+    return {std::move(vars), rhs};
+}
+
+/// Brute-force verdict of `models` (as from cnf_models) under assumptions.
+Result oracle(const std::vector<uint32_t>& models,
+              const std::vector<Lit>& assumptions) {
+    for (const uint32_t m : models) {
+        bool consistent = true;
+        for (const Lit a : assumptions)
+            if (((m >> a.var()) & 1) == a.sign()) consistent = false;
+        if (consistent) return Result::kSat;
+    }
+    return Result::kUnsat;
+}
+
+std::vector<Lit> random_assumptions(size_t n, int count, Rng& rng) {
+    std::vector<Lit> assume;
+    for (int k = 0; k < count; ++k)
+        assume.push_back(mk_lit(static_cast<Var>(rng.below(n)), rng.coin()));
+    return assume;
+}
+
+TEST(Solver, GjeDoesNotRegrowWarmSolver) {
+    // Three disjoint pairs of XOR rows {a,b,c,d}, {b,c,d,e}: elimination
+    // turns each pair into a ^ e = rhs, which Gauss-Jordan adds as two
+    // binary clauses. Those binaries are added once; 200 warm calls must
+    // not add them again. Problem-clause vivification is off so that
+    // nothing else changes the problem-clause count.
+    Rng rng(testutil::test_seed() * 1000003 + 7);
+    const size_t n = 16;
+    const uint32_t planted = static_cast<uint32_t>(rng.below(1u << n));
+    Cnf cnf = planted_ksat(n, 30, planted, rng);
+    for (Var g = 0; g < 3; ++g) {
+        const Var a = 5 * g;
+        cnf.xors.push_back(planted_xor({a, a + 1, a + 2, a + 3}, planted));
+        cnf.xors.push_back(planted_xor({a + 1, a + 2, a + 3, a + 4}, planted));
+    }
+    const std::vector<uint32_t> models = cnf_models(cnf);
+
+    Solver::Config cfg;
+    cfg.enable_xor = true;
+    cfg.inprocess.vivify_irredundant = false;
+    Solver s(cfg);
+    ASSERT_TRUE(s.load(cnf));
+    auto problem_clauses = [&s] {
+        return inprocess::InstanceFeatures::extract(s).num_clauses;
+    };
+    const size_t loaded = problem_clauses();
+    size_t after_first = 0;
+    for (int call = 1; call <= 200; ++call) {
+        const std::vector<Lit> assume =
+            call == 1 ? std::vector<Lit>{} : random_assumptions(n, 3, rng);
+        ASSERT_EQ(s.solve_assuming(assume), oracle(models, assume))
+            << "call " << call;
+        if (call == 1) after_first = problem_clauses();
+    }
+    EXPECT_GT(after_first, loaded) << "Gauss-Jordan must add binaries";
+    EXPECT_EQ(problem_clauses(), after_first);
+}
+
+TEST(Solver, ArenaStaysBoundedUnderWarmXorCalls) {
+    // The repeated-solve() loop of CryptoMiniSat's basic_test on an
+    // XOR-propagating instance: 300 warm calls cycling through eight
+    // assumption sets, so that learning levels off while every call still
+    // searches. Each XOR implication above level 0 allocates a reason
+    // clause that is garbage once its variable is unassigned; arena
+    // collection must reclaim it. The arena saw-tooths between
+    // collections, so the bound compares high-water marks: the largest
+    // arena seen after any of the 300 calls is at most 1.10x the largest
+    // after any of the first 100.
+    Rng rng(testutil::test_seed() * 1000003 + 23);
+    const size_t n = 16;
+    const uint32_t planted = static_cast<uint32_t>(rng.below(1u << n));
+    Cnf cnf = planted_ksat(n, 30, planted, rng);
+    for (int i = 0; i < 6; ++i) {
+        std::vector<Var> vars;
+        for (int j = 0; j < 5; ++j)
+            vars.push_back(static_cast<Var>(rng.below(n)));
+        cnf.xors.push_back(planted_xor(std::move(vars), planted));
+    }
+    const std::vector<uint32_t> models = cnf_models(cnf);
+    std::vector<std::vector<Lit>> sweep(8);
+    for (auto& assume : sweep) assume = random_assumptions(n, 3, rng);
+
+    Solver::Config cfg;
+    cfg.enable_xor = true;
+    Solver s(cfg);
+    ASSERT_TRUE(s.load(cnf));
+    size_t peak = 0, peak_at_100 = 0;
+    uint64_t xor_props_at_100 = 0;
+    for (int call = 1; call <= 300; ++call) {
+        const std::vector<Lit>& assume = sweep[call % sweep.size()];
+        ASSERT_EQ(s.solve_assuming(assume), oracle(models, assume))
+            << "call " << call;
+        ASSERT_TRUE(s.check_db_invariants()) << "call " << call;
+        peak = std::max(peak, s.arena_words());
+        if (call == 100) {
+            peak_at_100 = peak;
+            xor_props_at_100 = s.stats().xor_propagations;
+        }
+    }
+    // Without collection, the implications of calls 101-300 alone would
+    // leave well over a tenth of the arena as garbage.
+    EXPECT_GT(s.stats().xor_propagations - xor_props_at_100, 100u);
+    EXPECT_LE(static_cast<double>(peak), 1.10 * static_cast<double>(peak_at_100))
+        << "arena high-water mark " << peak << " after 300 calls, "
+        << peak_at_100 << " after 100";
 }
 
 }  // namespace
