@@ -22,11 +22,13 @@
 //    in-processing solver of the run: vivify_tick_share;
 //  * the warm loop must not be slower than cold (5% noise slack; the
 //    strict comparison is still reported as warm_strictly_faster);
-//  * warm XOR arm: one native solver with XOR reasoning answers
-//    BENCH_XOR_CALLS solve_assuming calls, cycling through eight
-//    assumption sets over a planted 60-variable 3-SAT + XOR instance.
-//    Every call's verdict must match a fresh solver's, every model must
-//    satisfy the instance, and arena_growth -- the solver's clause-arena
+//  * warm XOR arm: one native solver with XOR reasoning answers 1000
+//    solve_assuming calls, cycling through eight assumption sets over a
+//    planted 60-variable 3-SAT + XOR instance. Every call's verdict must
+//    match that of a fresh solver without XOR reasoning (the XORs
+//    expanded to clauses), an assumption set the planted assignment
+//    satisfies must come out SAT, every model must satisfy the
+//    instance, and arena_growth -- the solver's clause-arena
 //    high-water mark (in words, after a call) over the whole run divided
 //    by the one over its first tenth -- must stay <= 1.10. A count, so
 //    machine-independent: XOR reason clauses are garbage after their
@@ -34,8 +36,7 @@
 //
 // Output is machine-readable JSON, printed to stdout and written to
 // BENCH_incremental.json (override with BENCH_JSON_OUT). Knobs:
-// BENCH_VARS (32), BENCH_EQS (48), BENCH_SWEEP_BITS (4), BENCH_SEED (1),
-// BENCH_XOR_CALLS (1000).
+// BENCH_VARS (32), BENCH_EQS (48), BENCH_SWEEP_BITS (4), BENCH_SEED (1).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -102,7 +103,8 @@ struct XorArm {
     }
 };
 
-XorArm run_xor_arm(size_t calls, uint64_t seed) {
+XorArm run_xor_arm(uint64_t seed) {
+    constexpr size_t kCalls = 1000;
     constexpr size_t kVars = 60, kClauses = 180, kXors = 20, kXorLen = 5;
     Rng rng(seed * 0x9E3779B97F4A7C15ULL + 3);
     std::vector<bool> planted(kVars);
@@ -128,21 +130,29 @@ XorArm run_xor_arm(size_t calls, uint64_t seed) {
                 static_cast<sat::Var>(rng.below(kVars)), rng.coin()));
     }
 
-    sat::Solver::Config scfg;
-    scfg.enable_xor = true;
-    // Reference verdicts: a fresh solver per assumption set.
+    // Reference verdicts: a fresh solver per assumption set, with the
+    // XORs expanded to clauses, so no XOR reason, XOR conflict clause or
+    // Gauss-Jordan pass is involved. An assumption set that the planted
+    // assignment satisfies must be SAT whatever the reference says.
+    XorArm arm;
     std::vector<sat::Result> expected;
     for (const auto& assume : sweep) {
-        sat::Solver fresh(scfg);
+        sat::Solver fresh;
         expected.push_back(fresh.load(cnf) ? fresh.solve_assuming(assume)
                                            : sat::Result::kUnsat);
+        bool planted_ok = true;
+        for (const sat::Lit l : assume)
+            planted_ok &= planted[l.var()] != l.sign();
+        if (planted_ok && expected.back() != sat::Result::kSat)
+            arm.verdicts_ok = false;
     }
 
-    XorArm arm;
-    arm.calls = calls;
+    arm.calls = kCalls;
+    sat::Solver::Config scfg;
+    scfg.enable_xor = true;
     sat::Solver s(scfg);
-    arm.verdicts_ok = s.load(cnf);
-    for (size_t call = 1; call <= calls && arm.verdicts_ok; ++call) {
+    arm.verdicts_ok &= s.load(cnf);
+    for (size_t call = 1; call <= kCalls && arm.verdicts_ok; ++call) {
         const size_t i = call % sweep.size();
         const sat::Result r = s.solve_assuming(sweep[i]);
         if (r != expected[i]) arm.verdicts_ok = false;
@@ -153,8 +163,7 @@ XorArm run_xor_arm(size_t calls, uint64_t seed) {
             ++arm.unsat;
         }
         arm.arena_peak = std::max(arm.arena_peak, s.arena_words());
-        if (call == std::max<size_t>(calls / 10, 1))
-            arm.arena_peak_tenth = arm.arena_peak;
+        if (call == kCalls / 10) arm.arena_peak_tenth = arm.arena_peak;
     }
     arm.xor_propagations = s.stats().xor_propagations;
     return arm;
@@ -167,7 +176,6 @@ int main() {
     const size_t num_eqs = env_or("BENCH_EQS", 48);
     const size_t sweep_bits = env_or("BENCH_SWEEP_BITS", 4);
     const auto seed = static_cast<uint64_t>(env_or("BENCH_SEED", 1));
-    const size_t xor_calls = env_or("BENCH_XOR_CALLS", 1000);
     const char* json_path = std::getenv("BENCH_JSON_OUT");
     if (!json_path) json_path = "BENCH_incremental.json";
 
@@ -317,7 +325,7 @@ int main() {
         vivify_tick_share <= sat::inprocess::InprocessConfig{}.vivify_effort;
     const bool warm_not_slower = warm_s <= cold_s * 1.05;
 
-    const XorArm xor_arm = run_xor_arm(xor_calls, seed);
+    const XorArm xor_arm = run_xor_arm(seed);
     const bool arena_bounded = xor_arm.arena_growth() <= 1.10;
 
     const double speedup = warm_s > 0 ? cold_s / warm_s : 0.0;

@@ -205,38 +205,25 @@ void Solver::maybe_collect_garbage() {
 }
 
 void Solver::collect_garbage() {
-    // Live: every listed clause, and every transient clause that is still
-    // the reason of an assigned variable. A deleted clause can only be the
-    // reason of a level-0 variable, whose reason nothing reads; drop it.
+    // Only at level 0, where every XOR reason is garbage: live means
+    // listed. A deleted clause can still be the reason of a level-0
+    // variable, whose reason nothing reads; drop it.
+    assert(decision_level() == 0);
     std::vector<CRef> live;
     live.reserve(problem_clauses_.size() + learnts_.size());
     live.insert(live.end(), problem_clauses_.begin(), problem_clauses_.end());
     live.insert(live.end(), learnts_.begin(), learnts_.end());
-    for (const Lit l : trail_) {
-        CRef& r = var_reason_[l.var()];
-        if (r == kNoReason) continue;
-        if (clause(r).deleted) {
-            assert(level(l.var()) == 0);
-            r = kNoReason;
-        } else if (clause(r).transient) {
-            live.push_back(r);
-        }
-    }
     // Copying in old-offset order keeps crefs ordered as they were, so
     // every cref comparison (reduce()'s tie-break) decides as before.
     std::sort(live.begin(), live.end());
-    size_t live_words = 0;
-    for (const CRef cr : live) live_words += clause_words(clause(cr));
     std::vector<uint32_t> to;
-    to.reserve(live_words);
-    size_t transient_words = 0;
+    to.reserve(arena_.size() - wasted_);
     for (const CRef cr : live) {
         Clause& c = clause(cr);
-        assert(!c.deleted && !c.relocated);
+        assert(!c.deleted && !c.transient && !c.relocated);
         const CRef moved = static_cast<CRef>(to.size());
         to.insert(to.end(), arena_.data() + cr,
                   arena_.data() + cr + clause_words(c));
-        if (c.transient) transient_words += clause_words(c);
         c.relocated = 1;
         c.lbd = moved;  // forwarding address
     }
@@ -250,11 +237,16 @@ void Solver::collect_garbage() {
         for (Watcher& w : ws) forward(w.cref);
     for (const Lit l : trail_) {
         CRef& r = var_reason_[l.var()];
-        if (r != kNoReason) forward(r);
+        if (r == kNoReason) continue;
+        assert(!clause(r).transient);
+        if (clause(r).deleted) {
+            r = kNoReason;
+        } else {
+            forward(r);
+        }
     }
     arena_.swap(to);
-    // Transient reasons stay waste: they die on the next backtrack.
-    wasted_ = transient_words;
+    wasted_ = 0;
 }
 
 // ------------------------------------------------------------ propagation
@@ -729,7 +721,6 @@ void Solver::debug_force_reduce() {
     } else {
         reduce_db();
     }
-    maybe_collect_garbage();
 }
 
 inprocess::Vivifier::PassStats Solver::debug_force_vivify(
@@ -943,12 +934,10 @@ Result Solver::solve_assuming(const std::vector<Lit>& assumptions,
             if (inprocessing_on()) {
                 if (db_mgr_->should_reduce(problem_clauses_.size())) {
                     db_mgr_->reduce(*this);
-                    maybe_collect_garbage();
                 }
             } else if (static_cast<double>(learnts_.size()) >= max_learnts_) {
                 reduce_db();
                 max_learnts_ *= cfg_.learnt_growth;
-                maybe_collect_garbage();
             }
             // Re-enqueue any assumption not yet decided (restarts and
             // backjumps may have unwound them) before real branching.

@@ -261,8 +261,8 @@ private:
         uint8_t learnt : 1;
         uint8_t deleted : 1;
         /// Never listed: an XOR reason or conflict clause, garbage from
-        /// allocation on and kept by a collection only while it is the
-        /// reason of an assigned variable.
+        /// allocation on. Collections run only at level 0, where none is
+        /// the reason of an assigned variable any more.
         uint8_t transient : 1;
         uint8_t relocated : 1;  ///< collect_garbage(): lbd holds the new cref
         // In-processing bookkeeping. tier is kUntracked for clauses the
@@ -356,8 +356,9 @@ private:
     /// Overwrite a clause with a subset `lits` of its literals (at most
     /// its size); the freed tail words become waste.
     void shrink_clause(CRef cr, std::span<const Lit> lits);
-    /// Compact the arena once wasted words pass kGcWastePercent. Callers
-    /// hold no CRef across it: level 0, or right after a reduction.
+    /// Compact the arena once wasted words pass kGcWastePercent. Called
+    /// only at level 0 (restarts, end of a solve call), where no CRef is
+    /// held and every transient clause is garbage.
     void maybe_collect_garbage();
     void collect_garbage();
 

@@ -354,10 +354,10 @@ TEST(ClauseDb, TieredReduceKeepsInvariantsAndProtections) {
     EXPECT_EQ(s.db_glue_delete_vetoes(), 0u);
 }
 
-TEST(ClauseDb, ArenaCollectionMidSearchKeepsXorReasons) {
-    // Frequent reductions on an XOR-propagating search: collections then
-    // run right after a reduction, with XOR reason clauses of the current
-    // trail still live. Pigeonhole stays UNSAT whatever rows are added.
+TEST(ClauseDb, ArenaCollectsAtRestartsOfOneXorSearch) {
+    // Frequent reductions on an XOR-propagating search: within one solve
+    // call the waste (deleted learnts, XOR reason clauses) is collected
+    // at restarts. Pigeonhole stays UNSAT whatever rows are added.
     Cnf cnf = cnfgen::pigeonhole(7);
     Rng rng(testutil::test_seed(11) * 1000003 + 5);
     for (int i = 0; i < 2; ++i) {
