@@ -17,7 +17,7 @@
 // BENCH_JSON_OUT). `speedup_terms_per_sec` (interned vs legacy) is a
 // machine-independent number the CI bench smoke job guards against
 // regression. The other is `elim_kernel_over_plain`: plain Gauss-Jordan
-// time over Matrix::rref_m4r() time on the interned arm's linearised
+// time over Matrix::rref_sparse() time on the interned arm's linearised
 // matrices (both must reduce to the same matrix, or the harness exits
 // nonzero). The third is `subst_kernel_over_reference`: the reference
 // substitution (untouched terms + quotient * by, canonicalised) time over
@@ -180,7 +180,7 @@ HotOutcome run_hot_pipeline(
             }
         }
         if (matrices) matrices->push_back(mat);
-        mat.rref_m4r();
+        mat.rref_sparse();
 
         for (size_t r = 0; r < mat.rows(); ++r) {
             if (mat.row_is_zero(r)) continue;
@@ -455,7 +455,7 @@ int main(int argc, char** argv) {
             for (const auto& base : matrices) {
                 bosphorus::gf2::Matrix kernel = base, plain = base;
                 Timer tk;
-                kernel.rref_m4r();
+                kernel.rref_sparse();
                 kernel_s += tk.seconds();
                 std::vector<size_t> pivots;
                 Timer tp;

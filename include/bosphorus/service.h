@@ -148,7 +148,7 @@ enum class JobState {
     kDone,       ///< ran to completion (verdict may still be kUnknown)
     kCancelled,  ///< cancel() or shutdown() stopped it (possibly mid-run)
     kExpired,    ///< its deadline cut the run short
-    kFailed,     ///< the run itself errored (see JobOutcome::error)
+    kFailed,     ///< the run errored or threw (see JobOutcome::error)
 };
 
 /// Lower-case stable name of a state ("queued", "running", ...).

@@ -43,7 +43,7 @@ Linearization linearize(const std::vector<Polynomial>& polys) {
     return lin;
 }
 
-size_t reduce(Linearization& lin) { return lin.matrix.rref_m4r(); }
+size_t reduce(Linearization& lin) { return lin.matrix.rref_sparse(); }
 
 Polynomial row_to_polynomial(const Linearization& lin, size_t row) {
     // Columns run in descending deg-lex order, so the set bits read from

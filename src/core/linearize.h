@@ -53,8 +53,9 @@ struct Linearization {
 /// Build the linearised matrix of a polynomial system.
 Linearization linearize(const std::vector<anf::Polynomial>& polys);
 
-/// Reduce the linearised matrix to RREF (gf2::Matrix::rref_m4r) and return
-/// its rank. The one elimination entry point of XL, ElimLin and Groebner.
+/// Reduce the linearised matrix to RREF with gf2::Matrix::rref_sparse (the
+/// sparsest-pivot Gauss-Jordan kernel) and return its rank. The one
+/// elimination entry point of XL, ElimLin and Groebner.
 size_t reduce(Linearization& lin);
 
 /// Reconstruct the polynomial encoded by a matrix row.

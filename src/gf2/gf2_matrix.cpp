@@ -1,6 +1,5 @@
 #include "gf2/gf2_matrix.h"
 
-#include <algorithm>
 #include <bit>
 #include <utility>
 
@@ -31,8 +30,8 @@ size_t Matrix::add_row() {
 
 size_t Matrix::rref(std::vector<size_t>* pivot_cols) {
     // Big eliminations without a pivot-column request go through the
-    // Four-Russians path; it produces the identical reduced matrix.
-    if (!pivot_cols && rows_ >= 128 && cols_ >= 128) return rref_m4r();
+    // sparse kernel; it produces the identical reduced matrix.
+    if (!pivot_cols && rows_ >= 128 && cols_ >= 128) return rref_sparse();
     if (pivot_cols) pivot_cols->clear();
     size_t rank = 0;
     for (size_t col = 0; col < cols_ && rank < rows_; ++col) {
@@ -55,195 +54,79 @@ size_t Matrix::rref(std::vector<size_t>* pivot_cols) {
     return rank;
 }
 
-namespace {
-
-/// The Four-Russians table of one group of pivot rows: entry `idx` is the
-/// XOR of the group rows whose bit is set in idx, over the words from the
-/// window on. An entry is built from the entry without idx's lowest bit,
-/// the first time a row asks for it; a single-row entry is the pivot row
-/// itself, read in place. One buffer serves every group.
-class GroupTable {
-public:
-    /// Start a group of `size` rows whose words from the window on are
-    /// `rows[0..size)`, each `len` words long, that will clear up to
-    /// `clients` rows. When there are at least half as many of those as
-    /// entries, most entries will be asked for, so all are built now, in
-    /// one pass in index order: every lookup then finds its entry built,
-    /// a branch the CPU predicts, where building on demand mispredicts at
-    /// random.
-    void reset(const uint64_t* const* rows, unsigned size, size_t len,
-               size_t clients) {
-        rows_ = rows;
-        len_ = len;
-        const uint32_t entries = uint32_t{1} << size;
-        if (buf_.size() < size_t{entries} * len) buf_.resize(entries * len);
-        if (built_.size() < entries) built_.resize(entries, 0);
-        ++epoch_;
-        if (2 * clients < entries) return;
-        for (uint32_t idx = 3; idx < entries; ++idx) {
-            const uint32_t low = idx & (idx - 1);
-            if (low == 0) continue;
-            const uint64_t* src = (low & (low - 1)) != 0
-                                      ? buf_.data() + size_t{low} * len_
-                                      : rows_[std::countr_zero(low)];
-            const uint64_t* add = rows_[std::countr_zero(idx)];
-            uint64_t* dst = buf_.data() + size_t{idx} * len_;
-            for (size_t w = 0; w < len_; ++w) dst[w] = src[w] ^ add[w];
-            built_[idx] = epoch_;
-        }
-    }
-
-    const uint64_t* entry(uint32_t idx) {
-        // Walk down to a built or single-row entry, then build back up.
-        uint32_t chain[17];
-        int depth = 0;
-        uint32_t m = idx;
-        while ((m & (m - 1)) != 0 && built_[m] != epoch_) {
-            chain[depth++] = m;
-            m &= m - 1;
-        }
-        const uint64_t* src = (m & (m - 1)) != 0
-                                  ? buf_.data() + size_t{m} * len_
-                                  : rows_[std::countr_zero(m)];
-        while (depth > 0) {
-            const uint32_t c = chain[--depth];
-            uint64_t* dst = buf_.data() + size_t{c} * len_;
-            const uint64_t* add = rows_[std::countr_zero(c)];
-            for (size_t w = 0; w < len_; ++w) dst[w] = src[w] ^ add[w];
-            built_[c] = epoch_;
-            src = dst;
-        }
-        return src;
-    }
-
-private:
-    const uint64_t* const* rows_ = nullptr;
-    size_t len_ = 0;
-    std::vector<uint64_t> buf_;
-    std::vector<uint32_t> built_;  // == epoch_ once the entry is built
-    uint32_t epoch_ = 0;
-};
-
-}  // namespace
-
-size_t Matrix::rref_m4r(unsigned k) {
-    k = std::clamp(k, 1u, 16u);
+size_t Matrix::rref_sparse() {
     const size_t n_words = words_per_row_;
     constexpr uint32_t kNone = UINT32_MAX;
 
-    // Every row waits in the bucket of its first nonzero word past the
-    // last window that touched it, so a window visits exactly the rows
-    // that have bits in it. A row is only ever changed in a window where
-    // it is nonzero, and only from that window's word on, so the buckets
-    // stay exact. Rows whose remaining words are zero sit in no bucket.
-    std::vector<uint32_t> head(n_words, kNone), next(rows_, kNone);
+    // Every nonzero row waits in the bucket of its leading column, with
+    // the number of its nonzero words: the columns left of the leading
+    // one are zero, so that is its fill from the column's word on.
+    std::vector<uint32_t> head(cols_, kNone), next(rows_, kNone), fill(rows_);
     auto file = [&](uint32_t r, size_t from) {
         const uint64_t* p = row_ptr(r);
-        for (size_t w = from; w < n_words; ++w) {
-            if (p[w] != 0) {
-                next[r] = head[w];
-                head[w] = r;
-                return;
-            }
-        }
+        while (from < n_words && p[from] == 0) ++from;
+        if (from == n_words) return;
+        const size_t c = from * 64 + std::countr_zero(p[from]);
+        next[r] = head[c];
+        head[c] = r;
     };
-    for (size_t r = rows_; r-- > 0;) file(static_cast<uint32_t>(r), 0);
+    for (size_t r = 0; r < rows_; ++r) {
+        const uint64_t* p = row_ptr(r);
+        uint32_t n = 0;
+        for (size_t w = 0; w < n_words; ++w) n += p[w] != 0;
+        fill[r] = n;
+        file(static_cast<uint32_t>(r), 0);
+    }
 
+    // Forward: each column's pivot is its bucket's sparsest row, cleared
+    // from the rest of the bucket, which then moves on to later columns.
     // Pivot rows stay where they are until the end; `order` lists them by
-    // pivot column.
-    std::vector<uint32_t> order;
-    std::vector<uint8_t> is_pivot(rows_, 0);
-    std::vector<uint32_t> in_group(rows_, 0);  // == group stamp while in it
-    uint32_t group_stamp = 0;
-    std::vector<uint32_t> hit;
-    std::vector<std::pair<unsigned, uint32_t>> piv;  // (window bit, row)
-    std::vector<const uint64_t*> group_rows(k);
-    GroupTable table;
-
-    for (size_t w = 0; w < n_words && order.size() < rows_; ++w) {
-        hit.clear();
-        for (uint32_t r = head[w]; r != kNone; r = next[r]) hit.push_back(r);
-        if (hit.empty()) continue;
-
-        // The window's pivots, on the window words alone: insert each
-        // non-pivot row's word into an XOR basis keyed by lowest set bit.
-        // The basis bits are the window's pivot columns (they depend only
-        // on the row space) and the rows that entered it its pivot rows.
-        piv.clear();
-        uint64_t basis[64];
-        uint64_t have = 0;
-        for (const uint32_t r : hit) {
-            if (is_pivot[r]) continue;
-            for (uint64_t x = word(r, w); x != 0;) {
-                const unsigned b = std::countr_zero(x);
-                if (((have >> b) & 1) == 0) {
-                    basis[b] = x;
-                    have |= uint64_t{1} << b;
-                    piv.emplace_back(b, r);
-                    break;
+    // pivot column and `pivot_mask` marks the pivot columns.
+    std::vector<uint32_t> order, pivot_row(cols_, kNone);
+    std::vector<size_t> pivot_cols;
+    std::vector<uint64_t> pivot_mask(n_words, 0);
+    for (size_t c = 0; c < cols_; ++c) {
+        if (head[c] == kNone) continue;
+        uint32_t pivot = head[c];
+        for (uint32_t r = next[pivot]; r != kNone; r = next[r])
+            if (fill[r] < fill[pivot]) pivot = r;
+        order.push_back(pivot);
+        pivot_cols.push_back(c);
+        pivot_row[c] = pivot;
+        const size_t w = c / 64;
+        pivot_mask[w] |= uint64_t{1} << (c % 64);
+        const uint64_t* s = row_ptr(pivot);
+        for (uint32_t r = head[c]; r != kNone;) {
+            const uint32_t after = next[r];
+            if (r != pivot) {
+                uint64_t* d = row_ptr(r);
+                uint32_t n = 0;
+                for (size_t t = w; t < n_words; ++t) {
+                    d[t] ^= s[t];
+                    n += d[t] != 0;
                 }
-                x ^= basis[b];
+                fill[r] = n;
+                file(r, w);
             }
-            if (have == ~uint64_t{0}) break;
+            r = after;
         }
-        std::sort(piv.begin(), piv.end());
-        for (const auto& pr : piv) {
-            is_pivot[pr.second] = 1;
-            order.push_back(pr.second);
-        }
+    }
 
-        // Apply the pivots k at a time. Each group is first brought to
-        // RREF on its own pivot columns (its rows are zero on the earlier
-        // groups' columns by then), then cleared from every other row of
-        // the window through the group's table.
-        const size_t len = n_words - w;
-        for (size_t g0 = 0; g0 < piv.size(); g0 += k) {
-            const auto* grp = piv.data() + g0;
-            const unsigned kk =
-                static_cast<unsigned>(std::min<size_t>(k, piv.size() - g0));
-            ++group_stamp;
-            uint64_t gmask = 0;
-            for (unsigned i = 0; i < kk; ++i) {
-                in_group[grp[i].second] = group_stamp;
-                gmask |= uint64_t{1} << grp[i].first;
-            }
-            auto has = [&](uint32_t r, unsigned b) {
-                return ((word(r, w) >> b) & 1) != 0;
-            };
-            for (unsigned i = 1; i < kk; ++i)
-                for (unsigned j = 0; j < i; ++j)
-                    if (has(grp[i].second, grp[j].first))
-                        xor_row_from(grp[i].second, grp[j].second, w);
-            for (unsigned j = kk; j-- > 1;)
-                for (unsigned i = 0; i < j; ++i)
-                    if (has(grp[i].second, grp[j].first))
-                        xor_row_from(grp[i].second, grp[j].second, w);
-
-            for (unsigned i = 0; i < kk; ++i)
-                group_rows[i] = row_ptr(grp[i].second) + w;
-            table.reset(group_rows.data(), kk, len, hit.size() - kk);
-            const unsigned lo = grp[0].first;
-            const bool contiguous = grp[kk - 1].first - lo == kk - 1;
-            const uint64_t low_mask = (uint64_t{1} << kk) - 1;
-            for (const uint32_t r : hit) {
-                if (in_group[r] == group_stamp) continue;
-                const uint64_t x = word(r, w);
-                if ((x & gmask) == 0) continue;
-                uint32_t idx;
-                if (contiguous) {
-                    idx = static_cast<uint32_t>((x >> lo) & low_mask);
-                } else {
-                    idx = 0;
-                    for (unsigned i = 0; i < kk; ++i)
-                        idx |= static_cast<uint32_t>((x >> grp[i].first) & 1)
-                               << i;
-                }
-                const uint64_t* src = table.entry(idx);
-                uint64_t* dst = row_ptr(r) + w;
-                for (size_t t = 0; t < len; ++t) dst[t] ^= src[t];
+    // Back-substitution, last pivot column first: the rows that clear a
+    // pivot row's later pivot bits are already fully reduced, so they
+    // carry no other pivot bit and the bits left to clear can be read one
+    // word at a time.
+    for (size_t i = order.size(); i-- > 0;) {
+        const uint64_t* d = row_ptr(order[i]);
+        const size_t lead = pivot_cols[i];
+        for (size_t t = lead / 64; t < n_words; ++t) {
+            uint64_t x = d[t] & pivot_mask[t];
+            if (t == lead / 64) x &= ~uint64_t{0} << (lead % 64) << 1;
+            for (; x != 0; x &= x - 1) {
+                const size_t c = t * 64 + std::countr_zero(x);
+                xor_row_from(order[i], pivot_row[c], t);
             }
         }
-        for (const uint32_t r : hit) file(r, w + 1);
     }
 
     // Move the pivot rows to the top in pivot-column order. Every other

@@ -16,14 +16,14 @@ namespace bosphorus::gf2 {
 
 /// Dense matrix over GF(2). Rows are bit-packed into 64-bit words.
 ///
-/// Two eliminations produce the (unique) reduced row echelon form:
-/// rref_m4r(), the Method of Four Russians run window by window over 64
-/// columns, and plain word-sliced Gauss-Jordan, kept for callers that need
-/// the pivot columns (rref(&pivots), nullspace()). The linearisations XL
-/// and ElimLin build are very sparse and stay sparse when reduced; there a
-/// dense M4R that probes every row for every pivot is slower than plain
-/// Gauss-Jordan, so rref_m4r() touches only the rows and words that are
-/// nonzero in the window it is working on.
+/// Two Gauss-Jordan eliminations produce the (unique) reduced row echelon
+/// form: rref_sparse(), which picks the sparsest row as each column's
+/// pivot, and plain word-sliced Gauss-Jordan, kept for callers that need
+/// the pivot columns (rref(&pivots), nullspace()) and as the reference the
+/// kernel is tested and timed against. The linearisations XL and ElimLin
+/// build are very sparse and stay sparse when reduced; rref_sparse() picks
+/// the pivots that add the least fill, and touches only the rows that have
+/// a bit in the column it is working on.
 class Matrix {
 public:
     Matrix() = default;
@@ -84,17 +84,19 @@ public:
     /// In-place reduced row echelon form (Gauss-Jordan elimination).
     /// Returns the rank. `pivot_cols`, if non-null, receives the pivot column
     /// of row i for i < rank, in increasing order. Large matrices without a
-    /// pivot-column request are dispatched to rref_m4r().
+    /// pivot-column request are dispatched to rref_sparse().
     size_t rref(std::vector<size_t>* pivot_cols = nullptr);
 
-    /// Method of Four Russians RREF (the M4RI algorithm), one 64-column
-    /// window at a time. The window's pivots are found on the window words
-    /// of the rows that are nonzero there; they are applied k at a time
-    /// through a table of pivot-row combinations whose entries are built on
-    /// first use, and each row is cleared with one lookup + one row XOR
-    /// that starts at the window. Rows and windows with no bits cost
-    /// nothing. Word-for-word the same result as plain rref(&pivots).
-    size_t rref_m4r(unsigned k = 8);
+    /// Sparse Gauss-Jordan RREF. Every row waits in a bucket keyed by its
+    /// leading column. Column by column, the bucket row with the fewest
+    /// nonzero words becomes the pivot (Markowitz's rule, counted in
+    /// words); it is XORed into the bucket's other rows, which move to the
+    /// buckets of their new leading columns. One back-substitution pass,
+    /// last pivot column first, then clears each pivot row's bits in later
+    /// pivot columns with rows that are already fully reduced. Returns the
+    /// rank; word for word the same result as plain rref(&pivots): pivot
+    /// rows on top in pivot-column order, zero rows below.
+    size_t rref_sparse();
 
     /// Row echelon form only (no back-substitution). Returns rank.
     size_t row_echelon();

@@ -282,36 +282,21 @@ struct SolveService::Impl {
         Status error;
         Report report;
         bool failed = false;
-        if (!job->slot) {
-            EngineConfig cfg = job->cfg;
-            cfg.time_budget_s = std::min(cfg.time_budget_s, job->timeout_s);
-            if (cfg_.cooperative) {
-                // Cooperative mode: race the default portfolio on this
-                // instance with fact sharing. solve_portfolio creates and
-                // wires the shared pool; the entries all inherit this
-                // job's resolved config (backend spec included).
-                cfg.cooperative = true;
-                Result<PortfolioReport> res = solve_portfolio(
-                    job->problem, default_portfolio(cfg), 0, token);
-                if (res.ok()) {
-                    report = std::move(res).value().report;
-                } else {
-                    failed = true;
-                    error = res.status();
-                }
+        // A job that throws (say, std::length_error from an exhausted
+        // MonomialStore) fails alone instead of taking the daemon down. A
+        // sweep job's Session is then in an unknown state: the slot drops
+        // it, and the next job on the slot builds a fresh one.
+        bool threw = false;
+        try {
+            if (job->slot) {
+                run_sweep_job(*job, token, report, error, failed);
             } else {
-                Engine engine(cfg);
-                engine.set_cancellation_token(token);
-                Result<Report> res = engine.run(job->problem);
-                if (res.ok()) {
-                    report = std::move(res).value();
-                } else {
-                    failed = true;
-                    error = res.status();
-                }
+                run_one_shot_job(*job, token, report, error, failed);
             }
-        } else {
-            run_sweep_job(*job, token, report, error, failed);
+        } catch (const std::exception& e) {
+            threw = failed = true;
+            error = Status::internal(e.what());
+            report = Report();
         }
 
         // Jobs answer with verdicts only: the wire RESULT never carries
@@ -319,7 +304,9 @@ struct SolveService::Impl {
         // with every job it retains.
         report.processed_anf = std::vector<anf::Polynomial>();
 
+        std::unique_ptr<Session> dropped;  // destroyed outside mu_
         std::unique_lock<std::mutex> lk(mu_);
+        if (threw && job->slot) dropped = std::move(job->slot->session);
         job->run_s = run_timer.seconds();
         job->report = std::move(report);
         job->error = std::move(error);
@@ -332,6 +319,39 @@ struct SolveService::Impl {
         dispatch_locked();
         lk.unlock();
         cv_.notify_all();
+    }
+
+    /// One Engine run (or cooperative portfolio race) on the job's own
+    /// instance.
+    void run_one_shot_job(Job& job, const runtime::CancellationToken& token,
+                          Report& report, Status& error, bool& failed) {
+        EngineConfig cfg = job.cfg;
+        cfg.time_budget_s = std::min(cfg.time_budget_s, job.timeout_s);
+        if (cfg_.cooperative) {
+            // Cooperative mode: race the default portfolio on this
+            // instance with fact sharing. solve_portfolio creates and
+            // wires the shared pool; the entries all inherit this
+            // job's resolved config (backend spec included).
+            cfg.cooperative = true;
+            Result<PortfolioReport> res = solve_portfolio(
+                job.problem, default_portfolio(cfg), 0, token);
+            if (res.ok()) {
+                report = std::move(res).value().report;
+            } else {
+                failed = true;
+                error = res.status();
+            }
+        } else {
+            Engine engine(cfg);
+            engine.set_cancellation_token(token);
+            Result<Report> res = engine.run(job.problem);
+            if (res.ok()) {
+                report = std::move(res).value();
+            } else {
+                failed = true;
+                error = res.status();
+            }
+        }
     }
 
     /// One push / assume* / solve / pop round trip on the job's warm

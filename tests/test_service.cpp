@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -608,6 +609,118 @@ TEST(Service, RoundRobinIsFairAcrossClients) {
     };
     EXPECT_LT(pos(*light), pos(greedy[1]));
     EXPECT_LT(pos(*light), pos(greedy[2]));
+}
+
+// ---- a job that throws ------------------------------------------------------
+
+std::atomic<bool> g_throw_next{false};  // the next solve() call throws
+
+/// The native backend, except that one solve() call throws
+/// std::length_error -- what an exhausted MonomialStore throws -- once
+/// g_throw_next is set.
+class ThrowingBackend : public sat::SolverBackend {
+public:
+    explicit ThrowingBackend(std::unique_ptr<sat::SolverBackend> inner)
+        : inner_(std::move(inner)) {}
+    std::string name() const override { return "throw-once"; }
+    void ensure_vars(size_t n) override { inner_->ensure_vars(n); }
+    size_t num_vars() const override { return inner_->num_vars(); }
+    bool add_clause(const std::vector<sat::Lit>& c) override {
+        return inner_->add_clause(c);
+    }
+    bool add_xor(const sat::XorConstraint& x) override {
+        return inner_->add_xor(x);
+    }
+    void assume(sat::Lit l) override { inner_->assume(l); }
+    sat::Result solve(int64_t budget, double timeout_s) override {
+        if (g_throw_next.exchange(false))
+            throw std::length_error("monomial store exhausted");
+        return inner_->solve(budget, timeout_s);
+    }
+    sat::LBool value(sat::Var v) const override { return inner_->value(v); }
+    bool failed(sat::Lit a) const override { return inner_->failed(a); }
+    bool okay() const override { return inner_->okay(); }
+    void interrupt() override { inner_->interrupt(); }
+    void clear_interrupt() override { inner_->clear_interrupt(); }
+    void set_terminate_callback(std::function<bool()> cb) override {
+        inner_->set_terminate_callback(std::move(cb));
+    }
+    sat::Solver::Stats stats() const override { return inner_->stats(); }
+
+private:
+    std::unique_ptr<sat::SolverBackend> inner_;
+};
+
+void register_throwing_once() {
+    static const bool done = [] {
+        sat::BackendInfo info;
+        info.name = "throw-once";
+        info.description = "test backend; native, but solve() can throw";
+        (void)sat::BackendRegistry::global().register_backend(
+            info, [](const std::string&)
+                      -> Result<std::unique_ptr<sat::SolverBackend>> {
+                return std::unique_ptr<sat::SolverBackend>(new ThrowingBackend(
+                    sat::make_native_backend(sat::Solver::Config{})));
+            });
+        return true;
+    }();
+    (void)done;
+}
+
+TEST(Service, ThrowingJobFailsAloneAndDropsItsSession) {
+    register_throwing_once();
+    ServiceConfig scfg;
+    scfg.engine = small_config();
+    scfg.engine.use_xl = false;  // every job reaches the SAT step
+    scfg.engine.use_elimlin = false;
+    scfg.engine.sat_backend = "throw-once";
+    scfg.n_workers = 2;
+    SolveService svc(scfg);
+    ASSERT_TRUE(svc.open_session("a", "sweep", paper_example()).ok());
+    auto run = [&svc](Result<JobId> id) {
+        EXPECT_TRUE(id.ok());
+        const Result<JobOutcome> out = svc.wait(*id);
+        EXPECT_TRUE(out.ok());
+        return *out;
+    };
+    auto sweep = [&](bool x5) {
+        return run(svc.submit_assumptions("a", "sweep", {{4, x5}}));
+    };
+    auto expect_failed_internally = [](const JobOutcome& out) {
+        EXPECT_EQ(out.state, JobState::kFailed);
+        EXPECT_EQ(out.error.code(), StatusCode::kInternal);
+        EXPECT_EQ(out.error.message(), "monomial store exhausted");
+    };
+
+    // A warm session, then a sweep job that throws inside it: the job
+    // fails and the slot drops its session.
+    EXPECT_EQ(sweep(false).report.verdict, sat::Result::kSat);
+    EXPECT_EQ(svc.stats().warm_sessions, 1u);
+    g_throw_next = true;
+    expect_failed_internally(sweep(false));
+    EXPECT_EQ(svc.stats().warm_sessions, 0u);
+
+    // The next jobs on the slot rebuild the session and answer as before.
+    EXPECT_EQ(sweep(true).report.verdict, sat::Result::kUnsat);
+    EXPECT_EQ(sweep(false).report.verdict, sat::Result::kSat);
+    EXPECT_EQ(svc.stats().warm_sessions, 1u);
+
+    // One-shot jobs fail alone the same way.
+    g_throw_next = true;
+    expect_failed_internally(run(svc.submit(one_shot("b", paper_example()))));
+    const JobOutcome ok = run(svc.submit(one_shot("b", paper_example())));
+    EXPECT_EQ(ok.state, JobState::kDone);
+    EXPECT_EQ(ok.report.verdict, sat::Result::kSat);
+
+    // METRICS still answers, and counts the two failures.
+    service::ProtocolHandler handler(svc);
+    std::string response;
+    handler.handle("METRICS", [](std::string&) { return false; }, response);
+    EXPECT_EQ(response.rfind("OK METRICS", 0), 0u) << response;
+    EXPECT_NE(response.find("\njobs_failed 2\n"), std::string::npos)
+        << response;
+    EXPECT_NE(response.find("\njobs_completed 4\n"), std::string::npos)
+        << response;
 }
 
 // ---- metrics ----------------------------------------------------------------
