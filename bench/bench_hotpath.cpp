@@ -1,39 +1,32 @@
-// Core-pipeline hot-path harness: terms/sec through the XL-expand /
-// linearise / ElimLin loop, before vs after the interned-monomial rewrite.
+// Core-pipeline hot-path harness: terms/sec through a mirrored XL-expand /
+// linearise / ElimLin loop, and three in-run kernel ratios measured on the
+// matrices and substitutions that loop produces.
 //
-// The same pipeline code runs twice, templated on the term representation:
-//  - interned  : anf::Monomial / anf::Polynomial (hash-consed MonoIds);
-//  - legacy    : anf::legacy::* (heap vector<Var> per monomial -- the
-//                pre-interning snapshot, compiled in when the CMake option
-//                BOSPHORUS_LEGACY_TERMS is ON).
-// Both arms execute bit-identical algebra (no RNG inside the pipeline), so
-// their extracted facts and derived verdicts must match exactly -- the
-// harness exits nonzero otherwise. The tracked number is terms/sec: the
-// count of monomial terms flowing through products, matrix fills and
-// substitutions, divided by the arm's wall-clock. Timing alternates
-// legacy/interned per repetition so drift cancels.
+// The tracked throughput is terms/sec: the count of monomial terms flowing
+// through products, matrix fills and substitutions, divided by the
+// pipeline's wall-clock (informational; absolute, so machine-dependent).
+// The three ratios are machine-independent and gated in CI:
+//  - `elim_kernel_over_plain`: plain Gauss-Jordan time over
+//    Matrix::rref_sparse() time on the pipeline's linearised matrices
+//    (both must reduce to the same matrix);
+//  - `subst_kernel_over_reference`: the reference substitution (untouched
+//    terms + quotient * by, canonicalised) time over the in-place
+//    substitution kernel's (Polynomial::apply) on the substitutions the
+//    pipeline's ElimLin loop performs (both must give the same
+//    polynomial);
+//  - `karnaugh_memo_over_direct`: the time to convert SR(2,2,2,4) systems
+//    to CNF with every Karnaugh cover taken from the warm process-wide
+//    memo, against the same conversion calling the minimiser for every
+//    chunk (the clauses must match).
+// The harness exits nonzero if any of the three pairs disagrees.
 //
 // Output: JSON to stdout and BENCH_hotpath.json (override with
-// BENCH_JSON_OUT). `speedup_terms_per_sec` (interned vs legacy) is a
-// machine-independent number the CI bench smoke job guards against
-// regression. The other is `elim_kernel_over_plain`: plain Gauss-Jordan
-// time over Matrix::rref_sparse() time on the interned arm's linearised
-// matrices (both must reduce to the same matrix, or the harness exits
-// nonzero). The third is `subst_kernel_over_reference`: the reference
-// substitution (untouched terms + quotient * by, canonicalised) time over
-// the in-place substitution kernel's (Polynomial::apply) on the
-// substitutions the interned arm's ElimLin loop performs (both must give
-// the same polynomial, or the harness exits nonzero). The fourth is
-// `karnaugh_memo_over_direct`: the time to convert SR(2,2,2,4) systems to
-// CNF with every Karnaugh cover taken from the warm process-wide memo,
-// against the same conversion calling the minimiser for every chunk (the
-// clauses must match, or the harness exits nonzero). Pass --legacy-terms
-// to time only the legacy arm.
+// BENCH_JSON_OUT).
 //
 // Knobs (defaults tuned so the term algebra, not the shared GF(2)
 // elimination, dominates the measurement): BENCH_HOT_INSTANCES (6),
-// BENCH_HOT_VARS (24), BENCH_HOT_EQS (128), BENCH_HOT_QUAD_TERMS (8),
-// BENCH_HOT_LIN_TERMS (6), BENCH_HOT_LINEAR_EQS (14, planted-consistent
+// BENCH_HOT_VARS (24), BENCH_HOT_EQS (128), BENCH_HOT_QUAD_TERMS (6),
+// BENCH_HOT_LIN_TERMS (4), BENCH_HOT_LINEAR_EQS (14, planted-consistent
 // linear equations mixed in so the ElimLin substitution cascade actually
 // runs), BENCH_HOT_XL_DEGREE (1, the paper's default),
 // BENCH_HOT_ELIMLIN_ROUNDS (8), BENCH_HOT_REPS (3), BENCH_HOT_CAP
@@ -42,10 +35,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
-#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -60,26 +51,19 @@
 #include "util/rng.h"
 #include "util/timer.h"
 
-#ifdef BOSPHORUS_LEGACY_TERMS
-#include "anf/legacy_terms.h"
-#endif
-
 namespace {
 
 using bosphorus::Rng;
 using bosphorus::Timer;
 using Var = bosphorus::anf::Var;
+using Mono = bosphorus::anf::Monomial;
+using MonoHash = bosphorus::anf::MonomialHash;
+using Poly = bosphorus::anf::Polynomial;
 
 size_t env_or(const char* name, size_t fallback) {
     if (const char* v = std::getenv(name)) return std::strtoul(v, nullptr, 10);
     return fallback;
 }
-
-// Representation-neutral instance description: polynomial -> monomial ->
-// sorted variable list. Both arms build their own terms from this.
-using MonoDesc = std::vector<Var>;
-using PolyDesc = std::vector<MonoDesc>;
-using SystemDesc = std::vector<PolyDesc>;
 
 struct HotKnobs {
     unsigned xl_degree = 2;
@@ -89,67 +73,32 @@ struct HotKnobs {
 
 struct HotOutcome {
     std::vector<std::string> facts;  // generation order, deterministic
-    bool contradiction = false;
     uint64_t terms = 0;
 };
 
-template <class Mono>
-struct MonoHashOf {
-    size_t operator()(const Mono& m) const { return m.hash(); }
-};
-
-// One ElimLin substitution q := q[v := by], as the interned arm met it.
+// One ElimLin substitution q := q[v := by], as the pipeline met it.
 struct SubstCase {
-    bosphorus::anf::Polynomial q, by;
+    Poly q, by;
     Var v = 0;
-};
-
-// The mirrored ElimLin loop's substitution step: the legacy arm calls its
-// own substitute(); the interned arm runs the in-place kernel.
-template <class Poly>
-struct Substituter {
-    Var v = 0;
-    Poly by;
-    void set(Var var, const Poly& image) {
-        v = var;
-        by = image;
-    }
-    void operator()(Poly& q) const { q = q.substitute(v, by); }
-};
-
-template <>
-struct Substituter<bosphorus::anf::Polynomial> {
-    bosphorus::anf::Substitution s;
-    void set(Var var, const bosphorus::anf::Polynomial& image) {
-        s.clear();
-        s.set(var, image);
-    }
-    void operator()(bosphorus::anf::Polynomial& q) const { q.apply(s); }
 };
 
 // The mirrored hot pipeline. No randomness, no id-value dependence, no
 // unordered-container iteration leaks (sets are membership/size only, the
-// column list is sorted before use) -- so the two instantiations must
-// produce identical facts.
+// column list is sorted before use), so its facts are deterministic.
 // `matrices`, if non-null, receives a copy of every linearised matrix
-// before its reduction; `substs`, if non-null (interned arm only),
-// receives every ElimLin substitution before it is applied.
-template <class Poly, class Mono>
+// before its reduction; `substs`, if non-null, receives every ElimLin
+// substitution before it is applied.
 HotOutcome run_hot_pipeline(
-    const SystemDesc& desc, const HotKnobs& knobs,
+    const std::vector<Poly>& input, const HotKnobs& knobs,
     std::vector<bosphorus::gf2::Matrix>* matrices = nullptr,
     std::vector<SubstCase>* substs = nullptr) {
     HotOutcome out;
 
     std::vector<Poly> system;
-    system.reserve(desc.size());
-    for (const PolyDesc& pd : desc) {
-        std::vector<Mono> monos;
-        monos.reserve(pd.size());
-        for (const MonoDesc& md : pd) monos.push_back(Mono(md));
-        Poly p(std::move(monos));
+    system.reserve(input.size());
+    for (const Poly& p : input) {
         out.terms += p.size();
-        if (!p.is_zero()) system.push_back(std::move(p));
+        if (!p.is_zero()) system.push_back(p);
     }
 
     // ---- linearise + reduce + split rows (shared by XL and ElimLin) ----
@@ -159,7 +108,7 @@ HotOutcome run_hot_pipeline(
     };
     auto linear_pass = [&out, matrices](const std::vector<Poly>& polys) {
         Reduced red;
-        std::unordered_set<Mono, MonoHashOf<Mono>> seen;
+        std::unordered_set<Mono, MonoHash> seen;
         std::vector<Mono> cols;
         for (const Poly& p : polys) {
             for (const Mono& m : p.monomials()) {
@@ -168,7 +117,7 @@ HotOutcome run_hot_pipeline(
         }
         std::sort(cols.begin(), cols.end(),
                   [](const Mono& a, const Mono& b) { return b < a; });
-        std::unordered_map<Mono, size_t, MonoHashOf<Mono>> col_of;
+        std::unordered_map<Mono, size_t, MonoHash> col_of;
         col_of.reserve(cols.size());
         for (size_t c = 0; c < cols.size(); ++c) col_of.emplace(cols[c], c);
 
@@ -227,7 +176,7 @@ HotOutcome run_hot_pipeline(
         }
 
         std::vector<Poly> expanded = system;
-        std::unordered_set<Mono, MonoHashOf<Mono>> monos;
+        std::unordered_set<Mono, MonoHash> monos;
         for (const Poly& p : expanded)
             for (const Mono& m : p.monomials()) monos.insert(m);
         auto size_ok = [&]() {
@@ -252,7 +201,6 @@ HotOutcome run_hot_pipeline(
 
         Reduced red = linear_pass(expanded);
         if (red.contradiction) {
-            out.contradiction = true;
             out.facts.assign(1, Poly::constant(true).to_string());
             return out;
         }
@@ -264,7 +212,6 @@ HotOutcome run_hot_pipeline(
     for (unsigned round = 0; round < knobs.elimlin_rounds; ++round) {
         Reduced red = linear_pass(work);
         if (red.contradiction) {
-            out.contradiction = true;
             out.facts.assign(1, Poly::constant(true).to_string());
             return out;
         }
@@ -292,25 +239,23 @@ HotOutcome run_hot_pipeline(
                 }
             }
             const Poly rest = l + Poly::variable(best);
-            Substituter<Poly> subst;
+            bosphorus::anf::Substitution subst;
             subst.set(best, rest);
             auto record = [&](const Poly& q) {
-                if constexpr (std::is_same_v<Poly, bosphorus::anf::Polynomial>) {
-                    if (substs) substs->push_back({q, rest, best});
-                }
+                if (substs) substs->push_back({q, rest, best});
             };
             for (Poly& q : work) {
                 if (q.contains_var(best)) {
                     out.terms += q.size();
                     record(q);
-                    subst(q);
+                    q.apply(subst);
                     out.terms += q.size();
                 }
             }
             for (size_t lj = li + 1; lj < pending.size(); ++lj) {
                 if (pending[lj].contains_var(best)) {
                     record(pending[lj]);
-                    subst(pending[lj]);
+                    pending[lj].apply(subst);
                 }
             }
         }
@@ -322,31 +267,9 @@ HotOutcome run_hot_pipeline(
     return out;
 }
 
-struct ArmTotals {
-    double seconds = 0.0;
-    uint64_t terms = 0;
-    size_t facts = 0;
-    double terms_per_sec() const {
-        return seconds > 0 ? static_cast<double>(terms) / seconds : 0.0;
-    }
-};
-
 }  // namespace
 
-int main(int argc, char** argv) {
-    bool legacy_only = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--legacy-terms") == 0) legacy_only = true;
-    }
-#ifndef BOSPHORUS_LEGACY_TERMS
-    if (legacy_only) {
-        std::fprintf(stderr,
-                     "--legacy-terms requires a build with "
-                     "-DBOSPHORUS_LEGACY_TERMS=ON\n");
-        return 2;
-    }
-#endif
-
+int main() {
     const size_t instances = env_or("BENCH_HOT_INSTANCES", 6);
     const size_t num_vars = env_or("BENCH_HOT_VARS", 24);
     const size_t num_eqs = env_or("BENCH_HOT_EQS", 128);
@@ -362,9 +285,9 @@ int main(int argc, char** argv) {
     const char* json_path = std::getenv("BENCH_JSON_OUT");
     if (!json_path) json_path = "BENCH_hotpath.json";
 
-    // Planted quadratic instances, described representation-neutrally.
+    // Planted quadratic instances.
     Rng gen_rng(seed * 0x9E3779B9ULL + 7);
-    std::vector<SystemDesc> descs;
+    std::vector<std::vector<Poly>> systems;
     std::vector<bosphorus::Problem> problems;
     for (size_t i = 0; i < instances; ++i) {
         bosphorus::cnfgen::PlantedAnf inst =
@@ -386,71 +309,42 @@ int main(int argc, char** argv) {
             vs.erase(std::unique(vs.begin(), vs.end()), vs.end());
             bool parity = false;
             for (Var v : vs) parity ^= inst.planted[v];
-            std::vector<bosphorus::anf::Monomial> ms;
-            for (Var v : vs) ms.push_back(bosphorus::anf::Monomial(v));
-            if (parity) ms.push_back(bosphorus::anf::Monomial());
-            inst.polys.push_back(
-                bosphorus::anf::Polynomial(std::move(ms)));
+            std::vector<Mono> ms;
+            for (Var v : vs) ms.push_back(Mono(v));
+            if (parity) ms.push_back(Mono());
+            inst.polys.push_back(Poly(std::move(ms)));
         }
-        SystemDesc desc;
-        for (const auto& p : inst.polys) {
-            PolyDesc pd;
-            for (const auto& m : p.monomials()) {
-                const auto vs = m.vars();
-                pd.emplace_back(vs.begin(), vs.end());
-            }
-            desc.push_back(std::move(pd));
-        }
-        descs.push_back(std::move(desc));
+        systems.push_back(inst.polys);
         problems.push_back(bosphorus::Problem::from_anf(std::move(inst.polys),
                                                         inst.num_vars));
     }
 
-    using IMono = bosphorus::anf::Monomial;
-    using IPoly = bosphorus::anf::Polynomial;
-
-    ArmTotals interned, legacy;
-    std::vector<HotOutcome> interned_ref(instances), legacy_ref(instances);
-    bool have_legacy = false;
-
+    double pipeline_s = 0.0;
+    uint64_t pipeline_terms = 0;
+    size_t pipeline_facts = 0;
     for (size_t rep = 0; rep < reps; ++rep) {
-#ifdef BOSPHORUS_LEGACY_TERMS
-        {
-            using LMono = bosphorus::anf::legacy::Monomial;
-            using LPoly = bosphorus::anf::legacy::Polynomial;
-            Timer t;
-            for (size_t i = 0; i < instances; ++i) {
-                HotOutcome o = run_hot_pipeline<LPoly, LMono>(descs[i], knobs);
-                legacy.terms += o.terms;
-                if (rep == 0) legacy_ref[i] = std::move(o);
-            }
-            legacy.seconds += t.seconds();
-            have_legacy = true;
+        Timer t;
+        for (size_t i = 0; i < instances; ++i) {
+            const HotOutcome o = run_hot_pipeline(systems[i], knobs);
+            pipeline_terms += o.terms;
+            if (rep == 0) pipeline_facts += o.facts.size();
         }
-#endif
-        if (!legacy_only) {
-            Timer t;
-            for (size_t i = 0; i < instances; ++i) {
-                HotOutcome o = run_hot_pipeline<IPoly, IMono>(descs[i], knobs);
-                interned.terms += o.terms;
-                if (rep == 0) interned_ref[i] = std::move(o);
-            }
-            interned.seconds += t.seconds();
-        }
+        pipeline_s += t.seconds();
     }
-    for (const auto& o : interned_ref) interned.facts += o.facts.size();
-    for (const auto& o : legacy_ref) legacy.facts += o.facts.size();
+    const double terms_per_sec =
+        pipeline_s > 0 ? static_cast<double>(pipeline_terms) / pipeline_s
+                       : 0.0;
 
-    // ---- the elimination kernel vs plain Gauss-Jordan on the interned
-    // arm's linearised matrices (collected by one extra, untimed pass),
+    // ---- the elimination kernel vs plain Gauss-Jordan on the pipeline's
+    // linearised matrices (collected by one extra, untimed pass),
     // alternating per matrix, 10 passes per repetition (one pass takes
     // about a millisecond). Both must reduce to the same matrix.
     double kernel_s = 0.0, plain_s = 0.0;
     bool elim_identical = true;
-    if (!legacy_only) {
+    {
         std::vector<bosphorus::gf2::Matrix> matrices;
         for (size_t i = 0; i < instances; ++i)
-            run_hot_pipeline<IPoly, IMono>(descs[i], knobs, &matrices);
+            run_hot_pipeline(systems[i], knobs, &matrices);
         for (size_t rep = 0; rep < 10 * reps; ++rep) {
             for (const auto& base : matrices) {
                 bosphorus::gf2::Matrix kernel = base, plain = base;
@@ -470,21 +364,21 @@ int main(int argc, char** argv) {
     const double kernel_over_plain = kernel_s > 0 ? plain_s / kernel_s : 0.0;
 
     // ---- the substitution kernel vs the reference composition on the
-    // interned arm's ElimLin substitutions (collected by one extra,
-    // untimed pass), alternating per pass, 10 passes per repetition.
-    // Both must give the same polynomial.
+    // pipeline's ElimLin substitutions (collected by one extra, untimed
+    // pass), alternating per pass, 10 passes per repetition. Both must
+    // give the same polynomial.
     double subst_kernel_s = 0.0, subst_reference_s = 0.0;
     bool subst_identical = true;
     size_t subst_cases = 0;
-    if (!legacy_only) {
+    {
         std::vector<SubstCase> cases;
         for (size_t i = 0; i < instances; ++i)
-            run_hot_pipeline<IPoly, IMono>(descs[i], knobs, nullptr, &cases);
+            run_hot_pipeline(systems[i], knobs, nullptr, &cases);
         subst_cases = cases.size();
         std::vector<bosphorus::anf::Substitution> maps(cases.size());
         for (size_t c = 0; c < cases.size(); ++c)
             maps[c].set(cases[c].v, cases[c].by);
-        std::vector<IPoly> kernel_out(cases.size()), reference_out(cases.size());
+        std::vector<Poly> kernel_out(cases.size()), reference_out(cases.size());
         for (size_t rep = 0; rep < 10 * reps; ++rep) {
             Timer tk;
             for (size_t c = 0; c < cases.size(); ++c) {
@@ -494,16 +388,16 @@ int main(int argc, char** argv) {
             subst_kernel_s += tk.seconds();
             Timer tr;
             for (size_t c = 0; c < cases.size(); ++c) {
-                std::vector<IMono> untouched, quotients;
-                for (const IMono& m : cases[c].q.monomials()) {
+                std::vector<Mono> untouched, quotients;
+                for (const Mono& m : cases[c].q.monomials()) {
                     if (m.contains(cases[c].v)) {
                         quotients.push_back(m.without(cases[c].v));
                     } else {
                         untouched.push_back(m);
                     }
                 }
-                reference_out[c] = IPoly(std::move(untouched)) +
-                                   IPoly(std::move(quotients)) * cases[c].by;
+                reference_out[c] = Poly(std::move(untouched)) +
+                                   Poly(std::move(quotients)) * cases[c].by;
             }
             subst_reference_s += tr.seconds();
             subst_identical = subst_identical && kernel_out == reference_out;
@@ -523,8 +417,8 @@ int main(int argc, char** argv) {
     double memo_s = 0.0, direct_s = 0.0;
     bool conv_identical = true;
     size_t karnaugh_chunks = 0;
-    if (!legacy_only) {
-        std::vector<std::vector<IPoly>> sr_systems;
+    {
+        std::vector<std::vector<Poly>> sr_systems;
         std::vector<size_t> sr_vars;
         Rng sr_rng(seed * 0x9E3779B9ULL + 11);
         for (size_t i = 0; i < instances; ++i) {
@@ -564,28 +458,10 @@ int main(int argc, char** argv) {
     }
     const double memo_over_direct = memo_s > 0 ? direct_s / memo_s : 0.0;
 
-    // ---- equivalence: facts and derived verdicts must be bit-identical.
-    bool facts_identical = true;
-    bool verdicts_identical = true;
-    if (have_legacy && !legacy_only) {
-        for (size_t i = 0; i < instances; ++i) {
-            if (interned_ref[i].facts != legacy_ref[i].facts) {
-                facts_identical = false;
-                std::fprintf(stderr,
-                             "instance %zu: facts diverge between interned "
-                             "and legacy terms\n",
-                             i);
-            }
-            if (interned_ref[i].contradiction != legacy_ref[i].contradiction)
-                verdicts_identical = false;
-        }
-    }
-
-    // ---- the real engine over the same instances (tracked wall-clock,
-    // interned path only -- this is what production runs).
+    // ---- the real engine over the same instances (tracked wall-clock).
     size_t n_sat = 0, n_unsat = 0, n_unknown = 0;
     double engine_s = 0.0;
-    if (!legacy_only) {
+    {
         bosphorus::EngineConfig cfg;
         cfg.xl.m_budget = 16;
         cfg.elimlin.m_budget = 16;
@@ -609,10 +485,6 @@ int main(int argc, char** argv) {
         engine_s = t.seconds();
     }
 
-    const double speedup =
-        (have_legacy && !legacy_only && legacy.terms_per_sec() > 0)
-            ? interned.terms_per_sec() / legacy.terms_per_sec()
-            : 0.0;
     const auto& store = bosphorus::anf::MonomialStore::global();
 
     std::string json = "{\n";
@@ -629,19 +501,10 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(seed), reps);
     add("  \"xl_degree\": %u,\n  \"elimlin_rounds\": %u,\n  \"expand_cap\": %zu,\n",
         knobs.xl_degree, knobs.elimlin_rounds, knobs.expand_cap);
-    if (!legacy_only) {
-        add("  \"interned\": {\"seconds\": %.4f, \"terms\": %llu, "
-            "\"terms_per_sec\": %.0f, \"facts\": %zu},\n",
-            interned.seconds, static_cast<unsigned long long>(interned.terms),
-            interned.terms_per_sec(), interned.facts);
-    }
-    if (have_legacy) {
-        add("  \"legacy\": {\"seconds\": %.4f, \"terms\": %llu, "
-            "\"terms_per_sec\": %.0f, \"facts\": %zu},\n",
-            legacy.seconds, static_cast<unsigned long long>(legacy.terms),
-            legacy.terms_per_sec(), legacy.facts);
-    }
-    add("  \"speedup_terms_per_sec\": %.3f,\n", speedup);
+    add("  \"pipeline\": {\"seconds\": %.4f, \"terms\": %llu, "
+        "\"terms_per_sec\": %.0f, \"facts\": %zu},\n",
+        pipeline_s, static_cast<unsigned long long>(pipeline_terms),
+        terms_per_sec, pipeline_facts);
     add("  \"elim\": {\"kernel_seconds\": %.4f, \"plain_seconds\": %.4f, "
         "\"identical\": %s},\n",
         kernel_s, plain_s, elim_identical ? "true" : "false");
@@ -656,9 +519,6 @@ int main(int argc, char** argv) {
         karnaugh_chunks, memo_s, direct_s,
         conv_identical ? "true" : "false");
     add("  \"karnaugh_memo_over_direct\": %.3f,\n", memo_over_direct);
-    add("  \"facts_identical\": %s,\n  \"verdicts_identical\": %s,\n",
-        facts_identical ? "true" : "false",
-        verdicts_identical ? "true" : "false");
     add("  \"engine\": {\"seconds\": %.4f, \"sat\": %zu, \"unsat\": %zu, "
         "\"unknown\": %zu},\n",
         engine_s, n_sat, n_unsat, n_unknown);
@@ -670,8 +530,5 @@ int main(int argc, char** argv) {
     if (std::ofstream out{json_path}) out << json;
     else std::fprintf(stderr, "warning: cannot write %s\n", json_path);
 
-    return (facts_identical && verdicts_identical && elim_identical &&
-            subst_identical && conv_identical)
-               ? 0
-               : 1;
+    return (elim_identical && subst_identical && conv_identical) ? 0 : 1;
 }

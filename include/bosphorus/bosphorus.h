@@ -10,8 +10,8 @@
 ///   auto report = engine.run(*problem);
 /// \endcode
 ///
-/// See README.md for the quickstart and the migration table from the
-/// legacy core::Bosphorus / core::solve_*_instance entry points.
+/// See README.md for the quickstart. End-to-end solving (the paper's
+/// Table II protocol) is solve() in bosphorus/solve.h.
 
 /// \namespace bosphorus
 /// The public API of the Bosphorus (DATE'19) reproduction: Problem

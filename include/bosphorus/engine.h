@@ -44,8 +44,7 @@ class SharedFactPool;  // src/runtime/fact_exchange.h
 struct PortfolioEntry;
 struct PortfolioReport;
 
-/// Loop parameters (paper section IV defaults). This is the type the
-/// legacy `core::Options` name aliases.
+/// Loop parameters (paper section IV defaults).
 struct EngineConfig {
     core::XlConfig xl;            ///< D = 1, M = 30, deltaM = 4
     core::ElimLinConfig elimlin;  ///< shares M = 30

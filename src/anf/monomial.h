@@ -13,8 +13,8 @@
 // XL/ElimLin/Groebner linearisation loops allocation-free per term.
 //
 // Id values depend on interning history and never leak into observable
-// output: ordering (operator<) and hashing are content-based, identical to
-// the pre-interning representation (see anf/legacy_terms.h).
+// output: ordering (operator<) and hashing are functions of the variable
+// set alone, so any two processes order and hash a monomial alike.
 #pragma once
 
 #include <cstdint>
@@ -91,8 +91,8 @@ public:
         return store().less(id_, o.id_);
     }
 
-    /// Content hash, cached in the store; bit-identical to the
-    /// pre-interning hash chain.
+    /// Content hash of the variable set, cached in the store (the chain
+    /// is documented at MonomialStore::hash).
     size_t hash() const { return store().hash(id_); }
 
 private:

@@ -58,7 +58,7 @@ MonomialStore& MonomialStore::global() {
 }
 
 uint64_t MonomialStore::hash_vars(const Var* vars, uint32_t n) {
-    // The exact chain of the pre-interning Monomial::hash().
+    // The chain documented at MonomialStore::hash.
     uint64_t h = 0x9E3779B97F4A7C15ULL;
     for (uint32_t i = 0; i < n; ++i) h = (h ^ vars[i]) * 0x100000001B3ULL;
     return h;

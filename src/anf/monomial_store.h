@@ -20,9 +20,8 @@
 //  - Raw id VALUES are history-dependent (they depend on what was interned
 //    first) and must never influence observable output. All ordering goes
 //    through less()/compare() (deg-lex on content) and all hashing
-//    through hash() (content hash, identical to the pre-interning
-//    Monomial::hash), so results are bit-identical regardless of store
-//    history.
+//    through hash() (a hash of the sorted variable list alone), so
+//    results are bit-identical regardless of store history.
 //
 // Thread safety: intern/mul/quotient/without take an internal mutex
 // (mul and without first ask a per-thread front cache);
@@ -131,9 +130,10 @@ public:
     }
     uint32_t degree(MonoId id) const { return entry(id).len; }
 
-    /// Cached content hash, bit-identical to the pre-interning
-    /// Monomial::hash() chain -- stable across processes and interning
-    /// orders.
+    /// Cached content hash of the sorted variables v_1 < ... < v_d:
+    /// h = 0x9E3779B97F4A7C15, then h = (h ^ v_i) * 0x100000001B3 for each
+    /// v_i. Stable across processes and interning orders; golden tests
+    /// pin it through Polynomial::hash.
     uint64_t hash(MonoId id) const { return entry(id).hash; }
 
     /// Degree-lexicographic order on content (degree first, then

@@ -18,6 +18,7 @@
 
 #include "bosphorus/bosphorus.h"
 #include "service/server.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -63,12 +64,6 @@ void usage() {
         "  RESULT | CANCEL | METRICS | SHUTDOWN | QUIT");
 }
 
-bool parse_unsigned(const char* s, unsigned long& out) {
-    char* end = nullptr;
-    out = std::strtoul(s, &end, 10);
-    return end != s && *end == '\0';
-}
-
 bool parse_double(const char* s, double& out) {
     char* end = nullptr;
     out = std::strtod(s, &end);
@@ -86,7 +81,12 @@ int main(int argc, char** argv) {
         auto next = [&]() -> const char* {
             return i + 1 < argc ? argv[++i] : nullptr;
         };
-        unsigned long n = 0;
+        // The next argument, parsed whole into an integer option of the
+        // option's own type: no sign for unsigned options, no overflow.
+        auto next_int = [&](auto& option) {
+            const char* v = next();
+            return v && parse_integer(v, option);
+        };
         double d = 0.0;
         if (arg == "--help" || arg == "-h") {
             usage();
@@ -96,21 +96,13 @@ int main(int argc, char** argv) {
             if (!v) { usage(); return 2; }
             socket_path = v;
         } else if (arg == "--workers") {
-            const char* v = next();
-            if (!v || !parse_unsigned(v, n)) { usage(); return 2; }
-            cfg.n_workers = static_cast<unsigned>(n);
+            if (!next_int(cfg.n_workers)) { usage(); return 2; }
         } else if (arg == "--max-queue") {
-            const char* v = next();
-            if (!v || !parse_unsigned(v, n)) { usage(); return 2; }
-            cfg.max_queued_jobs = n;
+            if (!next_int(cfg.max_queued_jobs)) { usage(); return 2; }
         } else if (arg == "--max-sessions") {
-            const char* v = next();
-            if (!v || !parse_unsigned(v, n)) { usage(); return 2; }
-            cfg.max_sessions_per_client = n;
+            if (!next_int(cfg.max_sessions_per_client)) { usage(); return 2; }
         } else if (arg == "--max-inflight") {
-            const char* v = next();
-            if (!v || !parse_unsigned(v, n)) { usage(); return 2; }
-            cfg.max_inflight_per_client = n;
+            if (!next_int(cfg.max_inflight_per_client)) { usage(); return 2; }
         } else if (arg == "--drain-grace") {
             const char* v = next();
             if (!v || !parse_double(v, d)) { usage(); return 2; }
@@ -140,9 +132,7 @@ int main(int argc, char** argv) {
             if (!v || !parse_double(v, d)) { usage(); return 2; }
             cfg.engine.time_budget_s = d;
         } else if (arg == "--seed") {
-            const char* v = next();
-            if (!v || !parse_unsigned(v, n)) { usage(); return 2; }
-            cfg.engine.seed = n;
+            if (!next_int(cfg.engine.seed)) { usage(); return 2; }
         } else if (arg == "-v") {
             ++cfg.engine.verbosity;
         } else {

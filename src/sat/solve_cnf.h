@@ -13,7 +13,7 @@
 namespace bosphorus::sat {
 
 /// The back end used when none is specified, everywhere (CLI --solver
-/// default, SolveConfig, PipelineConfig): the CMS-like registry backend.
+/// default, SolveConfig): the CMS-like registry backend.
 inline constexpr const char* kDefaultSolverName = "cms";
 
 /// What one CNF-level solve produced. (Named CnfSolveOutcome -- not

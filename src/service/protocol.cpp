@@ -1,11 +1,11 @@
 #include "service/protocol.h"
 
-#include <charconv>
 #include <cstdio>
 #include <sstream>
 #include <vector>
 
 #include "bosphorus/bosphorus.h"
+#include "util/parse.h"
 
 namespace bosphorus::service {
 
@@ -17,16 +17,6 @@ std::vector<std::string> tokenize(const std::string& line) {
     std::string t;
     while (in >> t) toks.push_back(std::move(t));
     return toks;
-}
-
-bool parse_u64(const std::string& t, uint64_t& out) {
-    auto [p, ec] = std::from_chars(t.data(), t.data() + t.size(), out);
-    return ec == std::errc() && p == t.data() + t.size();
-}
-
-bool parse_i64(const std::string& t, int64_t& out) {
-    auto [p, ec] = std::from_chars(t.data(), t.data() + t.size(), out);
-    return ec == std::errc() && p == t.data() + t.size();
 }
 
 /// "-" means "service default" (0.0); otherwise a non-negative double.
@@ -220,7 +210,7 @@ ProtocolAction ProtocolHandler::handle(const std::string& request,
         uint64_t n_lines = 0;
         double timeout_s = 0.0;
         if (toks.size() != 6 || !parse_timeout(toks[3], timeout_s) ||
-            !parse_u64(toks[5], n_lines)) {
+            !parse_integer(toks[5], n_lines)) {
             response = err_invalid(
                 "usage: SUBMIT <client> anf|cnf <timeout_s|-> <solver|-> "
                 "<nlines>");
@@ -249,7 +239,7 @@ ProtocolAction ProtocolHandler::handle(const std::string& request,
         if (toks.size() >= 2 && toks[1] == "OPEN") {
             // SESSION OPEN <client> <name> <kind> <nlines>
             uint64_t n_lines = 0;
-            if (toks.size() != 6 || !parse_u64(toks[5], n_lines)) {
+            if (toks.size() != 6 || !parse_integer(toks[5], n_lines)) {
                 response = err_invalid(
                     "usage: SESSION OPEN <client> <name> anf|cnf <nlines>");
                 return ProtocolAction::kContinue;
@@ -285,7 +275,7 @@ ProtocolAction ProtocolHandler::handle(const std::string& request,
         AssumptionSet assumptions;
         for (size_t i = 4; i < toks.size(); ++i) {
             int64_t lit = 0;
-            if (!parse_i64(toks[i], lit) || lit == 0) {
+            if (!parse_integer(toks[i], lit) || lit == 0) {
                 response = err_invalid("bad assumption literal '" + toks[i] +
                                        "' (1-based signed, e.g. -3)");
                 return ProtocolAction::kContinue;
@@ -305,7 +295,7 @@ ProtocolAction ProtocolHandler::handle(const std::string& request,
 
     if (verb == "STATUS") {
         uint64_t id = 0;
-        if (toks.size() != 2 || !parse_u64(toks[1], id)) {
+        if (toks.size() != 2 || !parse_integer(toks[1], id)) {
             response = err_invalid("usage: STATUS <job-id>");
             return ProtocolAction::kContinue;
         }
@@ -322,8 +312,8 @@ ProtocolAction ProtocolHandler::handle(const std::string& request,
     if (verb == "RESULT") {
         uint64_t id = 0;
         double wait_s = -1.0;
-        const bool ok = (toks.size() == 2 && parse_u64(toks[1], id)) ||
-                        (toks.size() == 3 && parse_u64(toks[1], id) &&
+        const bool ok = (toks.size() == 2 && parse_integer(toks[1], id)) ||
+                        (toks.size() == 3 && parse_integer(toks[1], id) &&
                          parse_timeout(toks[2], wait_s));
         if (!ok) {
             response = err_invalid("usage: RESULT <job-id> [<wait_s>]");
@@ -340,7 +330,7 @@ ProtocolAction ProtocolHandler::handle(const std::string& request,
 
     if (verb == "CANCEL") {
         uint64_t id = 0;
-        if (toks.size() != 2 || !parse_u64(toks[1], id)) {
+        if (toks.size() != 2 || !parse_integer(toks[1], id)) {
             response = err_invalid("usage: CANCEL <job-id>");
             return ProtocolAction::kContinue;
         }

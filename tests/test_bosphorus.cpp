@@ -1,23 +1,21 @@
-// End-to-end tests for the Bosphorus workflow (Fig. 1) and the Table II
-// solving pipeline.
+// End-to-end tests for the Bosphorus workflow (Fig. 1) through
+// Engine::run, and the Table II protocol on CNF input through solve().
 #include <gtest/gtest.h>
 
 #include "anf/anf_parser.h"
+#include "bosphorus/solve.h"
 #include "cnfgen/generators.h"
-#include "core/bosphorus.h"
-#include "core/pipeline.h"
-#include "crypto/simon.h"
 #include "test_util.h"
 #include "util/rng.h"
 
-namespace bosphorus::core {
+namespace bosphorus {
 namespace {
 
 using anf::parse_system_from_string;
 using anf::Polynomial;
 
-Options small_options() {
-    Options opt;
+EngineConfig small_options() {
+    EngineConfig opt;
     opt.xl.m_budget = 16;
     opt.elimlin.m_budget = 16;
     opt.sat_conflicts_start = 1000;
@@ -28,6 +26,14 @@ Options small_options() {
     return opt;
 }
 
+/// One Engine run over an ANF system; the run must not fail.
+Report run_anf(const EngineConfig& opt, std::vector<Polynomial> polys,
+               size_t num_vars) {
+    auto run = Engine(opt).run(Problem::from_anf(std::move(polys), num_vars));
+    EXPECT_TRUE(run.ok()) << run.status().to_string();
+    return run.ok() ? std::move(*run) : Report{};
+}
+
 TEST(Bosphorus, SolvesPaperExample) {
     const auto sys = parse_system_from_string(
         "x1*x2 + x3 + x4 + 1\n"
@@ -35,12 +41,11 @@ TEST(Bosphorus, SolvesPaperExample) {
         "x1*x3 + x3*x4*x5 + x3\n"
         "x2*x3 + x3*x5 + 1\n"
         "x2*x3 + x5 + 1\n");
-    Bosphorus tool(small_options());
-    const auto res = tool.process_anf(sys.polynomials, 5);
-    ASSERT_EQ(res.status, sat::Result::kSat);
+    const auto res = run_anf(small_options(), sys.polynomials, 5);
+    ASSERT_EQ(res.verdict, sat::Result::kSat);
     const std::vector<bool> expect{true, true, true, true, false};
     EXPECT_EQ(res.solution, expect) << "unique solution of the system";
-    EXPECT_GT(res.facts_from_xl, 0u) << "XL must contribute facts";
+    EXPECT_GT(res.facts_from("xl"), 0u) << "XL must contribute facts";
 }
 
 TEST(Bosphorus, DetectsUnsat) {
@@ -48,15 +53,13 @@ TEST(Bosphorus, DetectsUnsat) {
         "x1 + x2\n"
         "x2 + x3\n"
         "x1 + x3 + 1\n");
-    Bosphorus tool(small_options());
-    const auto res = tool.process_anf(sys.polynomials, 3);
-    EXPECT_EQ(res.status, sat::Result::kUnsat);
+    const auto res = run_anf(small_options(), sys.polynomials, 3);
+    EXPECT_EQ(res.verdict, sat::Result::kUnsat);
 }
 
 TEST(Bosphorus, EmptySystemIsSat) {
-    Bosphorus tool(small_options());
-    const auto res = tool.process_anf({}, 3);
-    EXPECT_EQ(res.status, sat::Result::kSat);
+    const auto res = run_anf(small_options(), {}, 3);
+    EXPECT_EQ(res.verdict, sat::Result::kSat);
 }
 
 TEST(Bosphorus, AblationSwitchesRespected) {
@@ -66,15 +69,14 @@ TEST(Bosphorus, AblationSwitchesRespected) {
         "x1*x3 + x3*x4*x5 + x3\n"
         "x2*x3 + x3*x5 + 1\n"
         "x2*x3 + x5 + 1\n");
-    Options opt = small_options();
+    EngineConfig opt = small_options();
     opt.use_xl = false;
     opt.use_elimlin = false;
-    Bosphorus tool(opt);
-    const auto res = tool.process_anf(sys.polynomials, 5);
-    EXPECT_EQ(res.facts_from_xl, 0u);
-    EXPECT_EQ(res.facts_from_elimlin, 0u);
+    const auto res = run_anf(opt, sys.polynomials, 5);
+    EXPECT_EQ(res.facts_from("xl"), 0u);
+    EXPECT_EQ(res.facts_from("elimlin"), 0u);
     // SAT step alone still decides this tiny instance.
-    EXPECT_EQ(res.status, sat::Result::kSat);
+    EXPECT_EQ(res.verdict, sat::Result::kSat);
 }
 
 TEST(Bosphorus, ProcessedCnfCarriesLearntFacts) {
@@ -84,12 +86,11 @@ TEST(Bosphorus, ProcessedCnfCarriesLearntFacts) {
         "x1 + x2\n"
         "x2 + 1\n"
         "x3 + x1 + 1\n");
-    Options opt = small_options();
+    EngineConfig opt = small_options();
     opt.use_sat = false;  // keep it to XL/ElimLin + propagation
-    Bosphorus tool(opt);
-    const auto res = tool.process_anf(sys.polynomials, 3);
+    const auto res = run_anf(opt, sys.polynomials, 3);
     EXPECT_EQ(res.vars_fixed, 3u);
-    const auto models = testutil::cnf_models(res.processed_cnf.cnf);
+    const auto models = testutil::cnf_models(res.to_cnf(opt.conv).cnf);
     ASSERT_EQ(models.size(), 1u);
     EXPECT_EQ(models[0] & 7u, 3u) << "x1=1, x2=1, x3=0";
 }
@@ -97,9 +98,9 @@ TEST(Bosphorus, ProcessedCnfCarriesLearntFacts) {
 TEST(Bosphorus, ProcessCnfAugmentsOriginal) {
     Rng rng(17);
     const sat::Cnf cnf = cnfgen::xor_cycle(8, /*satisfiable=*/false, rng);
-    Bosphorus tool(small_options());
-    const auto res = tool.process_cnf(cnf);
-    EXPECT_EQ(res.status, sat::Result::kUnsat)
+    const auto run = Engine(small_options()).run(Problem::from_cnf(cnf));
+    ASSERT_TRUE(run.ok());
+    EXPECT_EQ(run->verdict, sat::Result::kUnsat)
         << "GF(2) reasoning should refute an inconsistent xor cycle";
 }
 
@@ -124,18 +125,17 @@ TEST_P(BosphorusRandom, AgreesWithBruteForceOnRandomAnf) {
     }
     const auto models = testutil::anf_models(polys, nv);
 
-    Options opt = small_options();
+    EngineConfig opt = small_options();
     opt.seed = GetParam() + 1;
-    Bosphorus tool(opt);
-    const auto res = tool.process_anf(polys, nv);
+    const auto res = run_anf(opt, polys, nv);
 
     if (models.empty()) {
-        EXPECT_EQ(res.status, sat::Result::kUnsat);
+        EXPECT_EQ(res.verdict, sat::Result::kUnsat);
     } else {
         // The loop usually finds a solution via its SAT step; it must never
         // claim UNSAT, and any solution must check out.
-        EXPECT_NE(res.status, sat::Result::kUnsat);
-        if (res.status == sat::Result::kSat) {
+        EXPECT_NE(res.verdict, sat::Result::kUnsat);
+        if (res.verdict == sat::Result::kSat) {
             uint32_t m = 0;
             for (unsigned v = 0; v < nv; ++v)
                 if (res.solution[v]) m |= 1u << v;
@@ -152,50 +152,22 @@ TEST_P(BosphorusRandom, AgreesWithBruteForceOnRandomAnf) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BosphorusRandom, ::testing::Range(0, 25));
 
-// ---- pipeline ---------------------------------------------------------------
+// ---- solve() on CNF input -------------------------------------------------
 
-TEST(Pipeline, Par2Score) {
-    std::vector<PipelineOutcome> outcomes(3);
-    outcomes[0].result = sat::Result::kSat;
-    outcomes[0].seconds = 1.5;
-    outcomes[1].result = sat::Result::kUnsat;
-    outcomes[1].seconds = 2.0;
-    outcomes[2].result = sat::Result::kUnknown;
-    outcomes[2].seconds = 5.0;  // timed out
-    EXPECT_DOUBLE_EQ(par2_score(outcomes, 5.0), 1.5 + 2.0 + 10.0);
-}
-
-TEST(Pipeline, AnfInstanceBothModes) {
-    const crypto::Simon32 simon(4);
-    Rng rng(5);
-    const auto inst = simon.encode(2, rng);
-
-    for (const bool with : {false, true}) {
-        PipelineConfig cfg;
-        cfg.solver = "cms";
-        cfg.use_bosphorus = with;
-        cfg.bosphorus = small_options();
-        cfg.timeout_s = 30.0;
-        cfg.bosphorus_budget_s = 5.0;
-        const auto out = solve_anf_instance(inst.polys, inst.num_vars, cfg);
-        EXPECT_EQ(out.result, sat::Result::kSat) << "with=" << with;
-        EXPECT_TRUE(out.model_verified || out.solved_in_loop);
-    }
-}
-
-TEST(Pipeline, CnfInstanceBothModes) {
+TEST(Solve, CnfInstanceBothModes) {
     Rng rng(6);
     const sat::Cnf cnf = cnfgen::random_ksat(20, 70, 3, rng);
     const bool expect_sat = !testutil::cnf_models(cnf).empty();
     for (const bool with : {false, true}) {
-        PipelineConfig cfg;
+        SolveConfig cfg;
         cfg.solver = "minisat";
-        cfg.use_bosphorus = with;
-        cfg.bosphorus = small_options();
+        cfg.preprocess = with;
+        cfg.engine = small_options();
         cfg.timeout_s = 30.0;
-        cfg.bosphorus_budget_s = 5.0;
-        const auto out = solve_cnf_instance(cnf, cfg);
-        EXPECT_EQ(out.result == sat::Result::kSat, expect_sat)
+        cfg.engine_budget_s = 5.0;
+        const auto out = solve(Problem::from_cnf(cnf), cfg);
+        ASSERT_TRUE(out.ok()) << "with=" << with;
+        EXPECT_EQ(out->result == sat::Result::kSat, expect_sat)
             << "with=" << with;
     }
 }
@@ -272,4 +244,4 @@ TEST(RngTest, ShuffleIsPermutation) {
 }
 
 }  // namespace
-}  // namespace bosphorus::core
+}  // namespace bosphorus

@@ -10,7 +10,6 @@
 
 #include "anf/anf_parser.h"
 #include "bosphorus/bosphorus.h"
-#include "core/pipeline.h"
 #include "test_util.h"
 
 namespace bosphorus {
@@ -375,7 +374,7 @@ TEST(Engine, TechniqueErrorAbortsRunWithStatus) {
     EXPECT_EQ(run.status().code(), StatusCode::kInternal);
 }
 
-// ---- solve() and legacy adapters ------------------------------------------
+// ---- solve() and PAR-2 ----------------------------------------------------
 
 TEST(Solve, AnfBothModesThroughFacade) {
     const auto problem = paper_example();
@@ -392,36 +391,11 @@ TEST(Solve, AnfBothModesThroughFacade) {
     }
 }
 
-TEST(Solve, LegacyEntryPointsAgreeWithFacade) {
-    // The four old entry points are now one-liners over Problem + Engine;
-    // they must agree with the facade on verdict and solution.
-    const auto problem = paper_example();
-    core::Bosphorus tool(small_config());
-    const auto legacy =
-        tool.process_anf(problem.polynomials(), problem.num_vars());
-    const auto run = Engine(small_config()).run(problem);
-    ASSERT_TRUE(run.ok());
-    EXPECT_EQ(legacy.status, run->verdict);
-    EXPECT_EQ(legacy.solution, run->solution);
-    EXPECT_EQ(legacy.facts_from_xl, run->facts_from("xl"));
-
-    core::PipelineConfig pcfg;
-    pcfg.bosphorus = small_config();
-    pcfg.use_bosphorus = true;
-    pcfg.timeout_s = 30.0;
-    const auto pipe = core::solve_anf_instance(problem.polynomials(),
-                                               problem.num_vars(), pcfg);
-    const auto facade = solve(problem, core::to_solve_config(pcfg));
-    ASSERT_TRUE(facade.ok());
-    EXPECT_EQ(pipe.result, facade->result);
-}
-
 TEST(Solve, DefaultSolverMatchesCliDocumentation) {
-    // The CLI usage text promises `--solver` defaults to cms; the config
-    // structs must agree with it and name a registered backend.
+    // The CLI usage text promises `--solver` defaults to cms; SolveConfig
+    // must agree with it and name a registered backend.
     EXPECT_STREQ(sat::kDefaultSolverName, "cms");
     EXPECT_TRUE(sat::BackendRegistry::global().contains(sat::kDefaultSolverName));
-    EXPECT_EQ(core::PipelineConfig{}.solver.spec, sat::kDefaultSolverName);
     EXPECT_EQ(SolveConfig{}.solver.spec, sat::kDefaultSolverName);
 }
 

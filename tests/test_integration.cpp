@@ -5,9 +5,8 @@
 
 #include "anf/anf_parser.h"
 #include "bosphorus/sat_backend.h"
+#include "bosphorus/solve.h"
 #include "cnfgen/generators.h"
-#include "core/bosphorus.h"
-#include "core/pipeline.h"
 #include "crypto/sha256.h"
 #include "crypto/simon.h"
 #include "sat/preprocess.h"
@@ -24,21 +23,22 @@ TEST(Integration, BitcoinNonceRecoveredAndReverified) {
     const unsigned k = 5, rounds = 16;
     const auto inst = crypto::encode_bitcoin_nonce(k, rounds, rng);
 
-    core::Options opt;
+    EngineConfig opt;
     opt.xl.m_budget = 18;
     opt.elimlin.m_budget = 18;
     opt.sat_conflicts_start = 50'000;
     opt.time_budget_s = 60.0;
-    core::Bosphorus tool(opt);
-    const auto res = tool.process_anf(inst.polys, inst.num_vars);
+    const auto res =
+        Engine(opt).run(Problem::from_anf(inst.polys, inst.num_vars));
+    ASSERT_TRUE(res.ok());
 
     std::vector<bool> solution;
-    if (res.status == sat::Result::kSat) {
-        solution = res.solution;
+    if (res->verdict == sat::Result::kSat) {
+        solution = res->solution;
     } else {
-        ASSERT_NE(res.status, sat::Result::kUnsat);
+        ASSERT_NE(res->verdict, sat::Result::kUnsat);
         const auto so =
-            sat::solve_cnf_with(res.processed_cnf.cnf, "cms", 60.0);
+            sat::solve_cnf_with(res->to_cnf(opt.conv).cnf, "cms", 60.0);
         ASSERT_TRUE(so.ok());
         ASSERT_EQ(so->result, sat::Result::kSat);
         solution.resize(inst.num_vars);
@@ -64,16 +64,17 @@ TEST(Integration, SimonSolutionSatisfiesAllPairs) {
     const crypto::Simon32 simon(5);
     Rng rng(77);
     const auto inst = simon.encode(4, rng);
-    core::PipelineConfig cfg;
+    SolveConfig cfg;
     cfg.solver = "cms";
-    cfg.use_bosphorus = true;
-    cfg.bosphorus.xl.m_budget = 20;
-    cfg.bosphorus.elimlin.m_budget = 20;
+    cfg.preprocess = true;
+    cfg.engine.xl.m_budget = 20;
+    cfg.engine.elimlin.m_budget = 20;
     cfg.timeout_s = 60.0;
-    cfg.bosphorus_budget_s = 20.0;
-    const auto out = core::solve_anf_instance(inst.polys, inst.num_vars, cfg);
-    ASSERT_EQ(out.result, sat::Result::kSat);
-    EXPECT_TRUE(out.model_verified || out.solved_in_loop);
+    cfg.engine_budget_s = 20.0;
+    const auto out = solve(Problem::from_anf(inst.polys, inst.num_vars), cfg);
+    ASSERT_TRUE(out.ok());
+    ASSERT_EQ(out->result, sat::Result::kSat);
+    EXPECT_TRUE(out->model_verified || out->solved_in_loop);
 }
 
 TEST(Integration, AnfFileRoundTripThroughTool) {
@@ -83,15 +84,15 @@ TEST(Integration, AnfFileRoundTripThroughTool) {
         "x2*x3 + x1 + 1\n"
         "x3 + x4\n";
     const auto sys = anf::parse_system_from_string(text);
-    core::Options opt;
+    EngineConfig opt;
     opt.xl.m_budget = 16;
     opt.elimlin.m_budget = 16;
     opt.use_sat = false;  // keep the processed system non-collapsed
-    core::Bosphorus tool(opt);
-    const auto res = tool.process_anf(sys.polynomials, 4);
+    const auto res = Engine(opt).run(Problem::from_anf(sys.polynomials, 4));
+    ASSERT_TRUE(res.ok());
 
     std::ostringstream out;
-    anf::write_system(out, res.processed_anf);
+    anf::write_system(out, res->processed_anf);
     const auto again = anf::parse_system_from_string(out.str());
     EXPECT_EQ(testutil::anf_models(sys.polynomials, 4),
               testutil::anf_models(again.polynomials, 4));
@@ -102,15 +103,16 @@ TEST(Integration, GroebnerPlusSatOnSimon) {
     const crypto::Simon32 simon(4);
     Rng rng(9);
     const auto inst = simon.encode(2, rng);
-    core::Options opt;
+    EngineConfig opt;
     opt.use_groebner = true;
     opt.groebner.max_pair_degree = 3;
     opt.xl.m_budget = 18;
     opt.elimlin.m_budget = 18;
     opt.time_budget_s = 30.0;
-    core::Bosphorus tool(opt);
-    const auto res = tool.process_anf(inst.polys, inst.num_vars);
-    EXPECT_NE(res.status, sat::Result::kUnsat)
+    const auto res =
+        Engine(opt).run(Problem::from_anf(inst.polys, inst.num_vars));
+    ASSERT_TRUE(res.ok());
+    EXPECT_NE(res->verdict, sat::Result::kUnsat)
         << "satisfiable instance (witness exists) flagged UNSAT";
 }
 

@@ -8,7 +8,7 @@
 #include <numeric>
 
 #include "anf/anf_parser.h"
-#include "core/bosphorus.h"
+#include "bosphorus/engine.h"
 #include "core/groebner.h"
 #include "core/linearize.h"
 #include "core/xl.h"
@@ -311,18 +311,18 @@ TEST(Groebner, PluggedIntoTheLoop) {
         "x1*x2 + x3\n"
         "x1*x3\n"
         "x2 + x1 + 1\n");
-    core::Options opt;
+    EngineConfig opt;
     opt.use_xl = false;
     opt.use_elimlin = false;
     opt.use_groebner = true;
     opt.xl.m_budget = 16;
     opt.max_iterations = 8;
-    core::Bosphorus tool(opt);
-    const auto res = tool.process_anf(sys.polynomials, 3);
-    EXPECT_GT(res.facts_from_groebner + res.vars_fixed, 0u);
-    EXPECT_NE(res.status, sat::Result::kUnsat);
+    const auto res = Engine(opt).run(Problem::from_anf(sys.polynomials, 3));
+    ASSERT_TRUE(res.ok());
+    EXPECT_GT(res->facts_from("groebner") + res->vars_fixed, 0u);
+    EXPECT_NE(res->verdict, sat::Result::kUnsat);
     const auto models = testutil::anf_models(sys.polynomials, 3);
-    const auto processed = testutil::anf_models(res.processed_anf, 3);
+    const auto processed = testutil::anf_models(res->processed_anf, 3);
     EXPECT_EQ(models, processed);
 }
 

@@ -133,8 +133,8 @@ TEST(MonomialStore, SemanticsIndependentOfInterningOrder) {
 }
 
 TEST(MonomialStore, HashMatchesLegacyChain) {
-    // The cached hash must reproduce the pre-interning Monomial::hash()
-    // exactly (FNV-style chain), so dedup behaviour is unchanged.
+    // The cached hash is the FNV-style chain documented at
+    // MonomialStore::hash; golden tests pin it through Polynomial::hash.
     MonomialStore store;
     Rng rng(11);
     for (int i = 0; i < 100; ++i) {

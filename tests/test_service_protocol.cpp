@@ -16,6 +16,7 @@
 #include "service/protocol.h"
 #include "service/server.h"
 #include "util/fault.h"
+#include "util/parse.h"
 
 namespace bosphorus {
 namespace {
@@ -311,6 +312,23 @@ TEST(Protocol, ClientDisconnectMidResultIsSurvivedAndCounted) {
     const std::string block = wire.request("METRICS");
     EXPECT_NE(block.find("\nclient_disconnects 1\n"), std::string::npos)
         << block;
+}
+
+// bosphorusd parses its count options (--workers, --max-queue, ...) with
+// parse_integer into the option's own type.
+TEST(DaemonOptions, CountParserRejectsSignOverflowTrailingAndEmpty) {
+    unsigned workers = 7;
+    EXPECT_TRUE(parse_integer("16", workers));
+    EXPECT_EQ(workers, 16u);
+    for (const char* bad : {"-1", "4294967296", "16x", ""}) {
+        unsigned n = 7;
+        EXPECT_FALSE(parse_integer(bad, n)) << "'" << bad << "'";
+        EXPECT_EQ(n, 7u) << "a rejected count must leave the option as is";
+    }
+    size_t queue = 0;
+    EXPECT_TRUE(parse_integer("4294967296", queue));
+    EXPECT_EQ(queue, size_t{4294967296});
+    EXPECT_FALSE(parse_integer("+16", queue));
 }
 
 }  // namespace

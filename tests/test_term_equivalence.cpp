@@ -1,11 +1,15 @@
-// Representation-equivalence suite: the interned-monomial algebra must be
-// observably bit-identical to the pre-interning reference representation
-// (anf/legacy_terms.h) -- same canonical deg-lex order, same strings, same
-// facts -- and the surrounding machinery (linearise column order, the
-// AnfSystem snapshot trail) must be independent of store history.
+// Term-algebra suite: the interned Polynomial/Monomial operations are
+// checked against a brute-force specification (a polynomial is the set of
+// terms that occur an odd number of times, ordered deg-lex) and, since ANF
+// is a canonical form, by exhaustive evaluation over every assignment. The
+// surrounding machinery (linearise column order, the AnfSystem snapshot
+// trail) must be independent of store history.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -16,10 +20,6 @@
 #include "test_util.h"
 #include "util/rng.h"
 
-#ifdef BOSPHORUS_LEGACY_TERMS
-#include "anf/legacy_terms.h"
-#endif
-
 namespace bosphorus {
 namespace {
 
@@ -27,7 +27,8 @@ using anf::Monomial;
 using anf::Polynomial;
 using anf::Var;
 
-// Representation-neutral random polynomial description.
+// A random polynomial as a list of (possibly repeated, unsorted) variable
+// lists, one per term.
 using PolyDesc = std::vector<std::vector<Var>>;
 
 PolyDesc random_desc(Rng& rng, unsigned num_vars, unsigned max_monos,
@@ -44,88 +45,207 @@ PolyDesc random_desc(Rng& rng, unsigned num_vars, unsigned max_monos,
     return desc;
 }
 
-template <class Poly, class Mono>
-Poly build(const PolyDesc& desc) {
-    std::vector<Mono> monos;
+Polynomial build(const PolyDesc& desc) {
+    std::vector<Monomial> monos;
     monos.reserve(desc.size());
-    for (const auto& vs : desc) monos.push_back(Mono(vs));
-    return Poly(std::move(monos));
+    for (const auto& vs : desc) monos.push_back(Monomial(vs));
+    return Polynomial(std::move(monos));
 }
 
-#ifdef BOSPHORUS_LEGACY_TERMS
+// ---- the specification ----------------------------------------------------
 
-using LMono = anf::legacy::Monomial;
-using LPoly = anf::legacy::Polynomial;
+/// A term: its variables, sorted, each once (x^2 = x).
+using Term = std::vector<Var>;
 
-class ReprEquivalence : public ::testing::TestWithParam<int> {};
+/// Deg-lex: lower degree first, then lexicographic on the sorted variables.
+struct DegLex {
+    bool operator()(const Term& a, const Term& b) const {
+        if (a.size() != b.size()) return a.size() < b.size();
+        return a < b;
+    }
+};
 
-TEST_P(ReprEquivalence, AlgebraMatchesReferenceBitForBit) {
+/// A polynomial: the terms with coefficient 1, ascending deg-lex.
+using Spec = std::set<Term, DegLex>;
+
+Term term_of(std::vector<Var> vars) {
+    std::sort(vars.begin(), vars.end());
+    vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+    return vars;
+}
+
+Term term_of(const Monomial& m) {
+    return Term(m.vars().begin(), m.vars().end());
+}
+
+/// Add one term mod 2.
+void toggle(Spec& s, const Term& t) {
+    if (!s.erase(t)) s.insert(t);
+}
+
+Spec spec_of(const PolyDesc& desc) {
+    Spec s;
+    for (const auto& vs : desc) toggle(s, term_of(vs));
+    return s;
+}
+
+Term term_mul(const Term& a, const Term& b) {
+    Term r;
+    std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                   std::back_inserter(r));
+    return r;
+}
+
+Spec spec_add(Spec a, const Spec& b) {
+    for (const Term& t : b) toggle(a, t);
+    return a;
+}
+
+Spec spec_mul(const Spec& a, const Spec& b) {
+    Spec r;
+    for (const Term& s : a)
+        for (const Term& t : b) toggle(r, term_mul(s, t));
+    return r;
+}
+
+Spec spec_substitute(const Spec& a, Var v, const Spec& by) {
+    Spec r;
+    for (const Term& t : a) {
+        if (!std::binary_search(t.begin(), t.end(), v)) {
+            toggle(r, t);
+            continue;
+        }
+        Term q = t;
+        q.erase(std::find(q.begin(), q.end(), v));
+        for (const Term& u : by) toggle(r, term_mul(q, u));
+    }
+    return r;
+}
+
+/// The polynomial's terms in stored order (constant first, leading last).
+std::vector<Term> terms_of(const Polynomial& p) {
+    std::vector<Term> out;
+    for (const Monomial& m : p.monomials()) out.push_back(term_of(m));
+    return out;
+}
+
+/// The canonical form is the spec's terms in ascending deg-lex order:
+/// strictly descending from the leading term, so none repeats.
+std::vector<Term> canonical(const Spec& s) { return {s.begin(), s.end()}; }
+
+/// The spec printed leading term first, as Polynomial::to_string does.
+std::string render(const Spec& s) {
+    if (s.empty()) return "0";
+    std::string out;
+    for (auto it = s.rbegin(); it != s.rend(); ++it) {
+        if (!out.empty()) out += " + ";
+        if (it->empty()) out += "1";
+        for (size_t i = 0; i < it->size(); ++i)
+            out += (i ? "*x" : "x") + std::to_string((*it)[i] + 1);
+    }
+    return out;
+}
+
+/// The store's content hash: h0 = 0x9E3779B97F4A7C15, then
+/// h = (h ^ v) * 0x100000001B3 over the sorted variables.
+uint64_t hash_chain(const Term& t) {
+    uint64_t h = 0x9E3779B97F4A7C15ULL;
+    for (Var v : t) h = (h ^ v) * 0x100000001B3ULL;
+    return h;
+}
+
+std::vector<bool> assignment_of(uint32_t bits, unsigned num_vars) {
+    std::vector<bool> a(num_vars);
+    for (unsigned v = 0; v < num_vars; ++v) a[v] = (bits >> v) & 1;
+    return a;
+}
+
+class TermAlgebra : public ::testing::TestWithParam<int> {};
+
+TEST_P(TermAlgebra, OperationsMatchSpecAndEvaluation) {
     Rng rng(testutil::test_seed() * 1000003 + GetParam() * 977 + 5);
     const unsigned nv = 10;
     for (int round = 0; round < 20; ++round) {
         const PolyDesc da = random_desc(rng, nv, 8, 4);
         const PolyDesc db = random_desc(rng, nv, 6, 3);
-        const Polynomial a = build<Polynomial, Monomial>(da);
-        const Polynomial b = build<Polynomial, Monomial>(db);
-        const LPoly la = build<LPoly, LMono>(da);
-        const LPoly lb = build<LPoly, LMono>(db);
+        const Polynomial a = build(da);
+        const Polynomial b = build(db);
+        const Spec sa = spec_of(da);
+        const Spec sb = spec_of(db);
 
-        // Construction canonicalises identically...
-        ASSERT_EQ(a.to_string(), la.to_string());
-        EXPECT_EQ(a.size(), la.size());
-        EXPECT_EQ(a.degree(), la.degree());
-        EXPECT_EQ(a.variables(), la.variables());
-        EXPECT_EQ(a.has_constant_term(), la.has_constant_term());
+        // Construction toggles terms mod 2 into canonical form.
+        ASSERT_EQ(terms_of(a), canonical(sa));
+        ASSERT_EQ(terms_of(b), canonical(sb));
+        EXPECT_EQ(a.to_string(), render(sa));
+        EXPECT_EQ(a.size(), sa.size());
+        size_t degree = 0;
+        std::set<Var> vars;
+        for (const Term& t : sa) {
+            degree = std::max(degree, t.size());
+            vars.insert(t.begin(), t.end());
+        }
+        EXPECT_EQ(a.degree(), degree);
+        EXPECT_EQ(a.variables(), std::vector<Var>(vars.begin(), vars.end()));
+        EXPECT_EQ(a.has_constant_term(), sa.count(Term{}) == 1);
         if (!a.is_zero()) {
-            EXPECT_EQ(a.leading_monomial().degree(),
-                      la.leading_monomial().degree());
+            EXPECT_EQ(a.leading_monomial().degree(), degree);
         }
 
-        // ...and so does every operation the pipeline uses.
-        EXPECT_EQ((a + b).to_string(), (la + lb).to_string());
-        EXPECT_EQ((a * b).to_string(), (la * lb).to_string());
+        // Every operation the pipeline uses lands on the spec's result...
+        const Var target = static_cast<Var>(rng.below(nv));
+        const Polynomial sum = a + b;
         Polynomial acc = a;
-        acc += b;  // the in-place merge against the reference operator+
-        EXPECT_EQ(acc.to_string(), (la + lb).to_string());
+        acc += b;
+        const Polynomial prod = a * b;
+        const Polynomial sub = a.substitute(target, b);
+        EXPECT_EQ(terms_of(sum), canonical(spec_add(sa, sb)));
+        EXPECT_EQ(terms_of(acc), canonical(spec_add(sa, sb)));
+        EXPECT_EQ(terms_of(prod), canonical(spec_mul(sa, sb)));
+        EXPECT_EQ(terms_of(sub), canonical(spec_substitute(sa, target, sb)));
         Polynomial self = a;
         self += a;
         EXPECT_TRUE(self.is_zero()) << "p += p must cancel to zero";
 
-        const Var target = static_cast<Var>(rng.below(nv));
-        EXPECT_EQ(a.substitute(target, b).to_string(),
-                  la.substitute(target, lb).to_string());
+        // ...and computes the right function on all 2^10 assignments.
+        for (uint32_t bits = 0; bits < (1u << nv); ++bits) {
+            std::vector<bool> x = assignment_of(bits, nv);
+            const bool va = a.evaluate(x), vb = b.evaluate(x);
+            ASSERT_EQ(sum.evaluate(x), va != vb) << "a + b at " << bits;
+            ASSERT_EQ(acc.evaluate(x), va != vb) << "a += b at " << bits;
+            ASSERT_EQ(prod.evaluate(x), va && vb) << "a * b at " << bits;
+            const bool vsub = sub.evaluate(x);
+            x[target] = vb;
+            ASSERT_EQ(vsub, a.evaluate(x))
+                << "a[x" << target + 1 << " := b] at " << bits;
+        }
 
-        std::vector<bool> assignment(nv);
-        for (unsigned v = 0; v < nv; ++v) assignment[v] = rng.coin();
-        EXPECT_EQ(a.evaluate(assignment), la.evaluate(assignment));
-
-        // Polynomial ordering (used for canonical system sorting).
-        const Polynomial a2 = build<Polynomial, Monomial>(db);
-        const LPoly la2 = build<LPoly, LMono>(db);
-        EXPECT_EQ(a < a2, la < la2);
-        EXPECT_EQ(a == a2, la == la2);
+        // Polynomial order: lexicographic on the ascending term lists.
+        const std::vector<Term> ta = canonical(sa), tb = canonical(sb);
+        EXPECT_EQ(a < b, std::lexicographical_compare(
+                             ta.begin(), ta.end(), tb.begin(), tb.end(),
+                             DegLex{}));
+        EXPECT_EQ(a == b, sa == sb);
     }
 }
 
-TEST_P(ReprEquivalence, MonomialOrderAndHashMatchReference) {
+TEST_P(TermAlgebra, MonomialOrderHashAndDivisionMatchSpec) {
     Rng rng(testutil::test_seed() * 1000003 + GetParam() * 31 + 2);
     for (int i = 0; i < 100; ++i) {
         const PolyDesc d = random_desc(rng, 12, 3, 5);
+        const Term tm = term_of(d[0]), tn = term_of(d[1 % d.size()]);
         const Monomial m(d[0]), n(d[1 % d.size()]);
-        const LMono lm(d[0]), ln(d[1 % d.size()]);
-        EXPECT_EQ(m.degree(), lm.degree());
-        EXPECT_EQ(m.hash(), lm.hash())
-            << "cached hash must equal the reference chain";
-        EXPECT_EQ(m < n, lm < ln) << "deg-lex order must match the reference";
-        EXPECT_EQ(m == n, lm == ln);
-        EXPECT_EQ(m.divides(n), lm.divides(ln));
-        EXPECT_EQ((m * n).vars() == (lm * ln).vars(), true);
+        EXPECT_EQ(term_of(m), tm);
+        EXPECT_EQ(m.degree(), tm.size());
+        EXPECT_EQ(m.hash(), hash_chain(tm));
+        EXPECT_EQ(m < n, DegLex{}(tm, tn)) << "deg-lex order";
+        EXPECT_EQ(m == n, tm == tn);
+        EXPECT_EQ(m.divides(n),
+                  std::includes(tn.begin(), tn.end(), tm.begin(), tm.end()));
+        EXPECT_EQ(term_of(m * n), term_mul(tm, tn));
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ReprEquivalence, ::testing::Range(0, 10));
-
-#endif  // BOSPHORUS_LEGACY_TERMS
+INSTANTIATE_TEST_SUITE_P(Seeds, TermAlgebra, ::testing::Range(0, 10));
 
 // ---- store-history independence of the lineariser ------------------------
 
@@ -140,7 +260,7 @@ TEST(Linearize, ColumnOrderIndependentOfStoreSize) {
     Rng rng(testutil::test_seed() * 1000003 + 123);
     std::vector<Polynomial> polys;
     for (int i = 0; i < 12; ++i)
-        polys.push_back(build<Polynomial, Monomial>(random_desc(rng, 8, 6, 3)));
+        polys.push_back(build(random_desc(rng, 8, 6, 3)));
     polys.erase(std::remove_if(polys.begin(), polys.end(),
                                [](const Polynomial& p) { return p.is_zero(); }),
                 polys.end());
@@ -189,7 +309,7 @@ TEST(SnapshotTrail, RestoreIsExactAndStoreIsAppendOnly) {
         std::vector<Polynomial> polys;
         for (int i = 0; i < 10; ++i)
             polys.push_back(
-                build<Polynomial, Monomial>(random_desc(rng, 8, 5, 3)));
+                build(random_desc(rng, 8, 5, 3)));
         core::AnfSystem sys(polys, 8);
 
         const auto before = system_strings(sys);
@@ -200,7 +320,7 @@ TEST(SnapshotTrail, RestoreIsExactAndStoreIsAppendOnly) {
         // Mutate: add random facts (some may contradict -- that's the
         // interesting rewind case).
         for (int i = 0; i < 5; ++i)
-            sys.add_fact(build<Polynomial, Monomial>(random_desc(rng, 8, 3, 2)));
+            sys.add_fact(build(random_desc(rng, 8, 3, 2)));
 
         sys.restore(snap);
         EXPECT_EQ(system_strings(sys), before)
