@@ -32,17 +32,13 @@
 #include "bosphorus/technique.h"
 #include "core/anf_to_cnf.h"
 #include "runtime/cancellation.h"
+#include "sat/inprocess/profiles.h"
 
 namespace bosphorus {
 
 namespace runtime {
 class SharedFactPool;  // src/runtime/fact_exchange.h
 }  // namespace runtime
-
-// Defined in bosphorus/batch.h (the concurrent-runtime facade); forward
-// declared here so Engine::solve_portfolio can be a member.
-struct PortfolioEntry;
-struct PortfolioReport;
 
 /// Loop parameters (paper section IV defaults).
 struct EngineConfig {
@@ -72,37 +68,32 @@ struct EngineConfig {
     bool use_xl = true;       ///< ablation switches: register XL...
     bool use_elimlin = true;  ///< ... ElimLin ...
     bool use_sat = true;      ///< ... and the conflict-bounded SAT step
-    bool sat_native_xor = true;  ///< in-loop solver uses native XOR + GJE
 
     /// In-processing engine of the native in-loop solver (vivification,
     /// tiered learnt-DB management, feature-driven profile selection; see
     /// src/sat/inprocess/). Off reproduces the legacy solver numerically.
     bool sat_inprocess = true;
-    /// Native-solver profile: "auto" (feature rule, re-evaluated per solve
-    /// call), "fixed" (honour sat_restart_base / learnt-DB knobs), or one
-    /// of "balanced", "crypto-xor", "agile-restart", "heavy-tail".
-    std::string sat_profile = "auto";
+    /// Native-solver profile: kAuto (feature rule, re-evaluated per solve
+    /// call), kFixed (honour sat_restart_base / sat_learnt_db_floor), or
+    /// a named profile (kBalanced, kCryptoXor, kAgileRestart, kHeavyTail).
+    /// sat::inprocess::profile_from_name parses the CLI spelling.
+    sat::inprocess::ProfileId sat_profile = sat::inprocess::ProfileId::kAuto;
     /// Luby restart unit in conflicts (<= 0: solver default, 100).
-    /// Authoritative only under sat_profile = "fixed".
+    /// Authoritative only under sat_profile = kFixed.
     int sat_restart_base = 0;
     /// Floor of the learnt-DB local-tier cap (<= 0: default, 1000).
     int64_t sat_learnt_db_floor = 0;
-    /// Local-tier cap growth per reduction (<= 0: default, 1.1).
-    double sat_learnt_db_growth = 0.0;
 
     /// In-loop SAT back end (see bosphorus/sat_backend.h): empty keeps
-    /// the built-in native solver configured by `sat_native_xor`; any
-    /// registered backend spec ("minisat", "lingeling", "cms",
-    /// "dimacs-exec:<cmd>", or a user-registered name) routes the
-    /// conflict-bounded SAT step -- including a Session's persistent warm
-    /// solver -- through that backend. This is the axis heterogeneous
-    /// portfolios race over (see backend_portfolio in bosphorus/batch.h).
+    /// the built-in native solver (native XOR + GJE, tuned by the
+    /// sat_inprocess / sat_profile knobs above); any registered backend
+    /// spec ("minisat", "lingeling", "cms", "dimacs-exec:<cmd>", or a
+    /// user-registered name) routes the conflict-bounded SAT step --
+    /// including a Session's persistent warm solver -- through that
+    /// backend. The native-solver knobs do not reach such a backend. This
+    /// is the axis heterogeneous portfolios race over (see
+    /// backend_portfolio in bosphorus/batch.h).
     std::string sat_backend;
-
-    /// Also harvest general (non-equivalence) learnt binary clauses as
-    /// quadratic ANF facts. Off by default: the paper keeps only linear
-    /// facts (value and equivalence assignments).
-    bool harvest_binary_clauses = false;
 
     /// Cooperative fact exchange (src/runtime/fact_exchange.h). When true
     /// and `fact_pool` is set, this engine publishes learnt unit/binary
@@ -112,9 +103,12 @@ struct EngineConfig {
     /// default) keeps the fully isolated, bit-for-bit deterministic path:
     /// that is the oracle cooperative runs are differentially tested
     /// against. solve_portfolio creates and wires the pool when any entry
-    /// sets `cooperative`; set it manually only for custom worker sets,
-    /// and only across workers solving the SAME problem (facts are
-    /// consequences of the shared base -- see fact_exchange.h).
+    /// sets `cooperative`, and a SolveService whose `engine` sets it runs
+    /// every one-shot job as such a portfolio (bosphorusd --cooperative);
+    /// an engine or Session that sees no pool stays isolated. Set
+    /// `fact_pool` manually only for custom worker sets, and only across
+    /// workers solving the SAME problem (facts are consequences of the
+    /// shared base -- see fact_exchange.h).
     bool cooperative = false;
     /// The shared exchange, sized to the problem's original variables.
     /// Ignored unless `cooperative`.
@@ -256,16 +250,6 @@ public:
     /// own Engine -- they are cheap to construct -- or use BatchEngine,
     /// which does exactly that.
     Result<Report> run(const Problem& problem);
-
-    /// Race several technique configurations on one instance across a
-    /// thread pool; the first decisive finisher cancels the rest. Declared
-    /// here for discoverability; the portfolio types live in
-    /// bosphorus/batch.h (include that to call this). Equivalent to the
-    /// free function solve_portfolio().
-    static Result<PortfolioReport> solve_portfolio(
-        const Problem& problem, const std::vector<PortfolioEntry>& entries,
-        unsigned n_threads = 0,
-        runtime::CancellationToken cancel = {});
 
     /// The loop parameters this Engine was built with.
     const EngineConfig& config() const { return cfg_; }

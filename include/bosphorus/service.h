@@ -68,18 +68,17 @@ struct ServiceConfig {
     /// across tenants. Warm sessions are constructed with exactly this
     /// config (see `open_session`). Jobs are verdict-only: the service
     /// drops each job's processed ANF before it keeps the outcome.
+    ///
+    /// With `engine.cooperative` set (bosphorusd --cooperative), each
+    /// one-shot job runs as a *cooperative* portfolio race instead of a
+    /// single engine: the default_portfolio entries over `engine` race on
+    /// the job's instance and share learnt facts through a lock-free pool
+    /// (see src/runtime/fact_exchange.h). Verdicts are identical to the
+    /// isolated run. Each such job may occupy up to one OS thread per
+    /// portfolio entry *in addition to* its worker slot, so budget
+    /// `n_workers` accordingly. Warm-session sweep jobs see no pool and
+    /// stay isolated (a Session is single-threaded by contract).
     EngineConfig engine;
-
-    /// Run each one-shot job as a *cooperative* portfolio race instead of
-    /// a single engine: the default_portfolio entries over `engine` race
-    /// on the job's instance and share learnt facts through a lock-free
-    /// pool (see src/runtime/fact_exchange.h). Verdicts are identical to
-    /// the isolated run; wall-clock-to-first-verdict is typically no
-    /// worse. Each such job may occupy up to one OS thread per portfolio
-    /// entry *in addition to* its worker slot, so budget `n_workers`
-    /// accordingly. Warm-session sweep jobs are unaffected (a Session is
-    /// single-threaded by contract).
-    bool cooperative = false;
 
     /// Worker threads executing jobs (0 = hardware concurrency). Unlike
     /// BatchEngine::threads_for, an explicit count is honoured even beyond

@@ -38,11 +38,9 @@ namespace bosphorus::core {
 class AnfSystem;
 }  // namespace bosphorus::core
 
-namespace bosphorus::runtime {
-class SharedFactPool;  // src/runtime/fact_exchange.h
-}  // namespace bosphorus::runtime
-
 namespace bosphorus {
+
+struct EngineConfig;  // bosphorus/engine.h
 
 /// The channel through which a technique feeds learnt facts back into the
 /// master ANF (propagation runs immediately), plus the per-step engine
@@ -232,55 +230,13 @@ std::unique_ptr<Technique> make_groebner_technique(
 
 /// Conflict-bounded SAT probing (paper section III-E): converts the current
 /// system to CNF, runs a CDCL solver under a conflict budget, and harvests
-/// learnt units / equivalences as linear ANF facts. The budget escalates
-/// from `conflicts_start` by `conflicts_step` (up to `conflicts_max`) on
-/// steps that learn nothing new.
-struct SatTechniqueConfig {
-    core::Anf2CnfConfig conv;       ///< conversion parameters (K, L)
-    bool native_xor = true;         ///< in-loop solver uses XOR + GJE
-    int64_t conflicts_start = 10'000;  ///< initial conflict budget C
-    int64_t conflicts_max = 100'000;   ///< budget ceiling
-    int64_t conflicts_step = 10'000;   ///< escalation on fact-free steps
-    /// Also harvest general learnt binary clauses as quadratic facts.
-    bool harvest_binary_clauses = false;
-    /// In-loop solver back end: empty selects the built-in native solver
-    /// (sat::make_native_backend, configured by `native_xor` and the
-    /// in-processing knobs below); any registered
-    /// bosphorus/sat_backend.h spec ("minisat", "dimacs-exec:kissat",
-    /// ...) routes the step through that backend instead. Fact harvesting
-    /// then uses whatever the backend can export (external processes
-    /// export nothing; the step still decides SAT/UNSAT).
-    std::string backend;
-    /// Cooperative fact exchange (src/runtime/fact_exchange.h): when set,
-    /// the step imports foreign learnt units/binaries as clauses into its
-    /// solver before every solve round, and publishes its own learnt-fact
-    /// harvest (cold-path harvests only when FactSink::coop_publish_base()
-    /// holds -- see there). Null keeps the isolated path.
-    std::shared_ptr<runtime::SharedFactPool> fact_pool;
-    unsigned coop_worker = 0;  ///< this worker's id in the pool
-
-    // ---- native-solver in-processing (src/sat/inprocess/) ----------------
-    /// Master switch for the in-processing engine (vivification, tiered
-    /// learnt-DB management, profile auto-reconfiguration) of the native
-    /// solver. Off reproduces the legacy solver numerically. Ignored by
-    /// registry backends (a non-empty `backend`).
-    bool inprocess = true;
-    /// Solver profile: "auto" (feature-driven selection, re-evaluated per
-    /// solve call), "fixed" (honour the explicit knobs below), or a named
-    /// profile -- "balanced", "crypto-xor", "agile-restart", "heavy-tail".
-    /// Unknown names surface as a config error at step().
-    std::string sat_profile = "auto";
-    /// Luby restart unit in conflicts for the native solver (<= 0: keep
-    /// the solver default, 100). Only authoritative under "fixed" -- named
-    /// and auto profiles override it.
-    int restart_base = 0;
-    /// Floor of the learnt-DB local-tier cap (<= 0: default, 1000).
-    int64_t learnt_db_floor = 0;
-    /// Local-tier cap growth per reduction (<= 0: default, 1.1).
-    double learnt_db_growth = 0.0;
-};
-
-/// The conflict-bounded SAT step (see SatTechniqueConfig) as a Technique.
-std::unique_ptr<Technique> make_sat_technique(const SatTechniqueConfig& cfg);
+/// learnt units / equivalences as linear ANF facts. Reads its settings
+/// straight from the EngineConfig: the conversion parameters `conv`, the
+/// budget schedule `sat_conflicts_*` (escalating on steps that learn
+/// nothing new), the back end `sat_backend`, the native solver's
+/// `sat_inprocess` / `sat_profile` / `sat_restart_base` /
+/// `sat_learnt_db_floor`, and the fact pool when `cooperative` and
+/// `fact_pool` are both set.
+std::unique_ptr<Technique> make_sat_technique(const EngineConfig& cfg);
 
 }  // namespace bosphorus

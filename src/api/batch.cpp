@@ -239,23 +239,16 @@ Result<PortfolioReport> solve_portfolio(const Problem& problem,
     // variables (CNF auxiliaries differ per entry and are rejected by the
     // pool's variable bound). Entries that brought their own pool keep it
     // -- and their caller-assigned worker id with it.
-    std::vector<PortfolioEntry> wired;
-    const std::vector<PortfolioEntry>* running = &entries;
+    std::vector<PortfolioEntry> running = entries;
     std::shared_ptr<runtime::SharedFactPool> pool_shared;
-    bool any_coop = false;
-    for (const PortfolioEntry& e : entries)
-        any_coop |= e.config.cooperative && !e.config.fact_pool;
-    if (any_coop) {
-        pool_shared =
-            std::make_shared<runtime::SharedFactPool>(problem.num_vars());
-        wired = entries;
-        for (size_t i = 0; i < wired.size(); ++i) {
-            EngineConfig& c = wired[i].config;
-            if (!c.cooperative || c.fact_pool) continue;
-            c.fact_pool = pool_shared;
-            c.coop_worker = static_cast<unsigned>(i);
-        }
-        running = &wired;
+    for (size_t i = 0; i < k; ++i) {
+        EngineConfig& c = running[i].config;
+        if (!c.cooperative || c.fact_pool) continue;
+        if (!pool_shared)
+            pool_shared =
+                std::make_shared<runtime::SharedFactPool>(problem.num_vars());
+        c.fact_pool = pool_shared;
+        c.coop_worker = static_cast<unsigned>(i);
     }
 
     // The race-internal source fires when a decisive winner lands; each
@@ -281,7 +274,7 @@ Result<PortfolioReport> solve_portfolio(const Problem& problem,
             pool.submit([&, i] {
                 Timer entry_timer;
                 try {
-                    Engine engine((*running)[i].config);
+                    Engine engine(running[i].config);
                     engine.set_cancellation_token(worker_token);
                     results[i] = engine.run(problem);
                 } catch (const std::exception& ex) {
@@ -348,13 +341,6 @@ Result<PortfolioReport> solve_portfolio(const Problem& problem,
         rep.facts_suppressed = pool_shared->suppressed();
     }
     return rep;
-}
-
-Result<PortfolioReport> Engine::solve_portfolio(
-    const Problem& problem, const std::vector<PortfolioEntry>& entries,
-    unsigned n_threads, runtime::CancellationToken cancel) {
-    return ::bosphorus::solve_portfolio(problem, entries, n_threads,
-                                        std::move(cancel));
 }
 
 }  // namespace bosphorus

@@ -51,26 +51,7 @@ std::vector<std::unique_ptr<Technique>> make_default_techniques(
     if (cfg.use_xl) out.push_back(make_xl_technique(cfg.xl));
     if (cfg.use_elimlin) out.push_back(make_elimlin_technique(cfg.elimlin));
     if (cfg.use_groebner) out.push_back(make_groebner_technique(cfg.groebner));
-    if (cfg.use_sat) {
-        SatTechniqueConfig sat_cfg;
-        sat_cfg.conv = cfg.conv;
-        sat_cfg.native_xor = cfg.sat_native_xor;
-        sat_cfg.conflicts_start = cfg.sat_conflicts_start;
-        sat_cfg.conflicts_max = cfg.sat_conflicts_max;
-        sat_cfg.conflicts_step = cfg.sat_conflicts_step;
-        sat_cfg.harvest_binary_clauses = cfg.harvest_binary_clauses;
-        sat_cfg.backend = cfg.sat_backend;
-        sat_cfg.inprocess = cfg.sat_inprocess;
-        sat_cfg.sat_profile = cfg.sat_profile;
-        sat_cfg.restart_base = cfg.sat_restart_base;
-        sat_cfg.learnt_db_floor = cfg.sat_learnt_db_floor;
-        sat_cfg.learnt_db_growth = cfg.sat_learnt_db_growth;
-        if (cfg.cooperative && cfg.fact_pool) {
-            sat_cfg.fact_pool = cfg.fact_pool;
-            sat_cfg.coop_worker = cfg.coop_worker;
-        }
-        out.push_back(make_sat_technique(sat_cfg));
-    }
+    if (cfg.use_sat) out.push_back(make_sat_technique(cfg));
     return out;
 }
 

@@ -193,8 +193,8 @@ bool Session::warm_valid() const {
 
 // Drain foreign facts from the shared pool and inject the unit ones into
 // the master ANF as learnt facts (binaries are consumed at the SAT layer
-// through the technique's own cursor -- see SatTechniqueConfig::fact_pool
-// -- where a clausal fact is directly expressible). Every pool fact is a
+// through the SAT technique's own cursor -- see make_sat_technique --
+// where a clausal fact is directly expressible). Every pool fact is a
 // consequence of the shared base problem, which this session's system
 // contains, so injection at any scope preserves the solution set.
 size_t Session::coop_import_anf() {

@@ -4,6 +4,7 @@
 #include <map>
 #include <utility>
 
+#include "bosphorus/engine.h"
 #include "bosphorus/sat_backend.h"
 #include "bosphorus/technique.h"
 #include "core/anf_system.h"
@@ -140,42 +141,19 @@ void decide_from_model(core::AnfSystem& sys, const sat::SolverBackend& b,
 
 class SatTechnique final : public Technique {
 public:
-    explicit SatTechnique(const SatTechniqueConfig& cfg)
-        : cfg_(cfg), conflict_budget_(cfg.conflicts_start) {
-        sat::inprocess::ProfileId id;
-        if (!sat::inprocess::profile_from_name(cfg_.sat_profile, id)) {
-            config_error_ = Status::invalid_argument(
-                "unknown sat profile '" + cfg_.sat_profile +
-                "' (expected auto, fixed, balanced, crypto-xor, "
-                "agile-restart or heavy-tail)");
-        }
+    explicit SatTechnique(const EngineConfig& cfg)
+        : cfg_(cfg), conflict_budget_(cfg.sat_conflicts_start) {
+        // Without `cooperative` the step stays isolated, pool or not.
+        if (!cfg_.cooperative) cfg_.fact_pool.reset();
     }
     std::string name() const override { return "sat"; }
 
-    /// The native solver configuration, used whenever no backend is
-    /// named.
-    sat::Solver::Config solver_config() const {
-        sat::Solver::Config scfg;
-        scfg.enable_xor = cfg_.native_xor;
-        scfg.inprocess.enabled = cfg_.inprocess;
-        sat::inprocess::ProfileId id;
-        if (sat::inprocess::profile_from_name(cfg_.sat_profile, id))
-            scfg.inprocess.profile = id;
-        if (cfg_.restart_base > 0) scfg.restart_base = cfg_.restart_base;
-        if (cfg_.learnt_db_floor > 0)
-            scfg.inprocess.local_cap_min =
-                static_cast<size_t>(cfg_.learnt_db_floor);
-        if (cfg_.learnt_db_growth > 0)
-            scfg.inprocess.local_cap_growth = cfg_.learnt_db_growth;
-        return scfg;
-    }
-
-    void begin_run() override { conflict_budget_ = cfg_.conflicts_start; }
+    void begin_run() override { conflict_budget_ = cfg_.sat_conflicts_start; }
 
     /// Warm re-solve: restart the conflict-budget schedule but keep the
     /// live solver (and everything it has learnt about the base system).
     void reset_for_resolve() override {
-        conflict_budget_ = cfg_.conflicts_start;
+        conflict_budget_ = cfg_.sat_conflicts_start;
     }
 
     /// Build the persistent solver for a Session's base system. It is
@@ -254,11 +232,9 @@ public:
     }
 
     StepReport step(core::AnfSystem& sys, FactSink& sink) override {
-        const Status& error =
-            config_error_.ok() ? backend_error_ : config_error_;
-        if (!error.ok()) {
+        if (!backend_error_.ok()) {
             StepReport report;
-            report.status = error;
+            report.status = backend_error_;
             return report;
         }
         if (live_ && sink.warm_base_valid()) return step_live(sys, sink);
@@ -266,24 +242,33 @@ public:
     }
 
 private:
-    /// The one place a SAT-step solver is built: the native solver
-    /// configured by solver_config() when no backend is named, else the
-    /// named registry backend.
+    /// The one place a SAT-step solver is built: the named registry
+    /// backend, else the native XOR-enabled solver tuned by the
+    /// in-processing knobs.
     ::bosphorus::Result<std::unique_ptr<sat::SolverBackend>> make_backend()
         const {
-        if (cfg_.backend.empty())
-            return sat::make_native_backend(solver_config());
-        return sat::BackendRegistry::global().create(
-            sat::SolverSpec{cfg_.backend});
+        if (!cfg_.sat_backend.empty())
+            return sat::BackendRegistry::global().create(
+                sat::SolverSpec{cfg_.sat_backend});
+        sat::Solver::Config scfg;
+        scfg.enable_xor = true;
+        scfg.inprocess.enabled = cfg_.sat_inprocess;
+        scfg.inprocess.profile = cfg_.sat_profile;
+        if (cfg_.sat_restart_base > 0)
+            scfg.restart_base = cfg_.sat_restart_base;
+        if (cfg_.sat_learnt_db_floor > 0)
+            scfg.inprocess.local_cap_min =
+                static_cast<size_t>(cfg_.sat_learnt_db_floor);
+        return sat::make_native_backend(scfg);
     }
 
-    /// Convert `polys` to CNF for `b`: native XORs only when both the
-    /// config asks for them and the backend handles them.
+    /// Convert `polys` to CNF for `b`: native XORs whenever the backend
+    /// handles them.
     core::Anf2CnfResult to_cnf(const std::vector<Polynomial>& polys,
                                size_t num_vars,
                                const sat::SolverBackend& b) const {
         core::Anf2CnfConfig conv_cfg = cfg_.conv;
-        conv_cfg.native_xor = cfg_.native_xor && b.supports_native_xor();
+        conv_cfg.native_xor = b.supports_native_xor();
         return core::anf_to_cnf(polys, num_vars, conv_cfg);
     }
 
@@ -308,10 +293,9 @@ private:
         return true;
     }
 
-    /// Deposit a solver's accumulated linear facts -- learnt units,
-    /// equivalences paired up from learnt binaries, and (optionally) the
-    /// binaries themselves as quadratic facts -- restricted to the first
-    /// `n_anf_vars` variables. Returns false once the sink reports
+    /// Deposit a solver's accumulated linear facts -- learnt units and
+    /// equivalences paired up from learnt binaries -- restricted to the
+    /// first `n_anf_vars` variables. Returns false once the sink reports
     /// contradiction.
     bool harvest(const std::vector<sat::Lit>& units,
                  const std::vector<std::array<sat::Lit, 2>>& binaries,
@@ -325,20 +309,6 @@ private:
             if (!sink.okay()) return false;
         }
         deposit(sink, equivalences_from_binaries(binaries, n_anf_vars));
-        if (!sink.okay()) return false;
-        if (cfg_.harvest_binary_clauses) {
-            for (const auto& b : binaries) {
-                if (b[0].var() >= n_anf_vars || b[1].var() >= n_anf_vars)
-                    continue;
-                // (l0 | l1) = 0 in ANF: product of negated literals.
-                Polynomial f0 = Polynomial::variable(b[0].var());
-                if (!b[0].sign()) f0 += Polynomial::constant(true);
-                Polynomial f1 = Polynomial::variable(b[1].var());
-                if (!b[1].sign()) f1 += Polynomial::constant(true);
-                sink.add(f0 * f1);
-                if (!sink.okay()) return false;
-            }
-        }
         return sink.okay();
     }
 
@@ -386,8 +356,9 @@ private:
         if (sink.coop_publish_base()) coop_publish(units, binaries, sink);
         if (sink.fresh() == 0) {
             // No new facts: raise the conflict budget (section IV).
-            conflict_budget_ = std::min(cfg_.conflicts_max,
-                                        conflict_budget_ + cfg_.conflicts_step);
+            conflict_budget_ =
+                std::min(cfg_.sat_conflicts_max,
+                         conflict_budget_ + cfg_.sat_conflicts_step);
         }
         Log{sink.verbosity()}.info(
             2, "iter %zu SAT(%s): budget %lld, %zu new facts",
@@ -477,11 +448,10 @@ private:
         return report;
     }
 
-    SatTechniqueConfig cfg_;
+    EngineConfig cfg_;  ///< fact_pool set only under `cooperative`
     int64_t conflict_budget_;
     std::unique_ptr<sat::SolverBackend> live_;  ///< persistent Session solver
     Status backend_error_;  ///< a failed bind_base, surfaced at step()
-    Status config_error_;   ///< a bad SatTechniqueConfig, surfaced at step()
     size_t live_num_anf_vars_ = 0;
     // Cooperative exchange state: the private import cursor, the cache of
     // foreign facts drained so far (the cold path re-injects all of it),
@@ -507,7 +477,7 @@ std::unique_ptr<Technique> make_groebner_technique(
     return std::make_unique<GroebnerTechnique>(cfg);
 }
 
-std::unique_ptr<Technique> make_sat_technique(const SatTechniqueConfig& cfg) {
+std::unique_ptr<Technique> make_sat_technique(const EngineConfig& cfg) {
     return std::make_unique<SatTechnique>(cfg);
 }
 

@@ -11,7 +11,6 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -64,12 +63,6 @@ void usage() {
         "  RESULT | CANCEL | METRICS | SHUTDOWN | QUIT");
 }
 
-bool parse_double(const char* s, double& out) {
-    char* end = nullptr;
-    out = std::strtod(s, &end);
-    return end != s && *end == '\0' && out >= 0.0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -87,7 +80,11 @@ int main(int argc, char** argv) {
             const char* v = next();
             return v && parse_integer(v, option);
         };
-        double d = 0.0;
+        // ... and into a duration option: finite seconds >= 0.
+        auto next_seconds = [&](double& option) {
+            const char* v = next();
+            return v && parse_seconds(v, option);
+        };
         if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
@@ -104,9 +101,7 @@ int main(int argc, char** argv) {
         } else if (arg == "--max-inflight") {
             if (!next_int(cfg.max_inflight_per_client)) { usage(); return 2; }
         } else if (arg == "--drain-grace") {
-            const char* v = next();
-            if (!v || !parse_double(v, d)) { usage(); return 2; }
-            cfg.drain_grace_s = d;
+            if (!next_seconds(cfg.drain_grace_s)) { usage(); return 2; }
         } else if (arg == "--no-deadline-admission") {
             cfg.deadline_admission = false;
         } else if (arg == "--fault-plan") {
@@ -114,23 +109,17 @@ int main(int argc, char** argv) {
             if (!v) { usage(); return 2; }
             cfg.fault_plan = v;
         } else if (arg == "--default-timeout") {
-            const char* v = next();
-            if (!v || !parse_double(v, d)) { usage(); return 2; }
-            cfg.default_timeout_s = d;
+            if (!next_seconds(cfg.default_timeout_s)) { usage(); return 2; }
         } else if (arg == "--max-timeout") {
-            const char* v = next();
-            if (!v || !parse_double(v, d)) { usage(); return 2; }
-            cfg.max_timeout_s = d;
+            if (!next_seconds(cfg.max_timeout_s)) { usage(); return 2; }
         } else if (arg == "--cooperative") {
-            cfg.cooperative = true;
+            cfg.engine.cooperative = true;
         } else if (arg == "--loop-solver") {
             const char* v = next();
             if (!v) { usage(); return 2; }
             cfg.engine.sat_backend = v;
         } else if (arg == "--timeout") {
-            const char* v = next();
-            if (!v || !parse_double(v, d)) { usage(); return 2; }
-            cfg.engine.time_budget_s = d;
+            if (!next_seconds(cfg.engine.time_budget_s)) { usage(); return 2; }
         } else if (arg == "--seed") {
             if (!next_int(cfg.engine.seed)) { usage(); return 2; }
         } else if (arg == "-v") {

@@ -20,7 +20,8 @@
 #include <limits>
 #include <sstream>
 #include <string>
-
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "anf/anf_parser.h"
@@ -30,6 +31,7 @@
 #include "sat/inprocess/profiles.h"
 #include "sat/solve_cnf.h"
 #include "util/fault.h"
+#include "util/parse.h"
 #include "util/timer.h"
 
 namespace {
@@ -129,23 +131,27 @@ int fail(const Status& status) {
     return 2;
 }
 
-/// Parse "64M" / "512K" / "2G" / "1048576" into bytes. Throws
-/// std::invalid_argument (caught by main's backstop) on malformed input.
-uint64_t parse_bytes(const std::string& text) {
-    size_t pos = 0;
-    const unsigned long long n = std::stoull(text, &pos);
+/// Parse "64M" / "512K" / "2G" / "1048576" into bytes. Returns false on
+/// malformed input (a sign, a bad suffix, trailing characters) and on a
+/// size a uint64_t cannot hold.
+bool parse_bytes(std::string_view text, uint64_t& out) {
+    const size_t pos = text.find_first_not_of("0123456789");
+    uint64_t n = 0;
+    if (!parse_integer(text.substr(0, pos), n)) return false;
     uint64_t mult = 1;
-    if (pos < text.size()) {
+    if (pos != std::string_view::npos) {
         const char suffix = static_cast<char>(std::toupper(text[pos]));
         if (suffix == 'K') mult = 1ull << 10;
         else if (suffix == 'M') mult = 1ull << 20;
         else if (suffix == 'G') mult = 1ull << 30;
-        else throw std::invalid_argument("bad size suffix in '" + text + "'");
+        else return false;
         if (pos + 1 < text.size() &&
             !(pos + 2 == text.size() && std::toupper(text[pos + 1]) == 'B'))
-            throw std::invalid_argument("bad size '" + text + "'");
+            return false;
     }
-    return n * mult;
+    if (n > std::numeric_limits<uint64_t>::max() / mult) return false;
+    out = n * mult;
+    return true;
 }
 
 /// `--stream-preprocess IN OUT`: run the out-of-core pipeline and report
@@ -200,7 +206,7 @@ int run(int argc, char** argv);
 
 int main(int argc, char** argv) {
     // Library failures arrive as Status values; this backstop catches what
-    // does not (std::stoul on malformed numeric options, bad_alloc, ...).
+    // does not (bad_alloc, ...).
     try {
         return run(argc, argv);
     } catch (const std::exception& ex) {
@@ -259,17 +265,36 @@ int run(int argc, char** argv) {
             }
             return argv[++i];
         };
+        // The next argument, parsed whole into a numeric option: an
+        // integer of the option's own type (no sign for unsigned options,
+        // no overflow) that is at least `min`, or finite seconds >= 0.
+        // A bad value exits 2.
+        auto bad_value = [&](const std::string& v) {
+            std::fprintf(stderr, "bad value for %s: '%s'\n", a.c_str(),
+                         v.c_str());
+            std::exit(2);
+        };
+        auto next_int = [&](auto& option, long long min = 0) {
+            const std::string v = next();
+            std::remove_reference_t<decltype(option)> n{};
+            if (!parse_integer(v, n) || std::cmp_less(n, min)) bad_value(v);
+            option = n;
+        };
+        auto next_seconds = [&](double& option) {
+            const std::string v = next();
+            if (!parse_seconds(v, option)) bad_value(v);
+        };
         if (a == "--anf") anf_in = next();
         else if (a == "--stream-preprocess") {
             stream_in = next();
             stream_out = next();
         }
-        else if (a == "--memory-budget")
-            stream_cfg.memory_budget_bytes = parse_bytes(next());
-        else if (a == "--stream-xor-len")
-            stream_cfg.xor_max_len = std::stoull(next());
-        else if (a == "--stream-rounds")
-            stream_cfg.discovery_rounds = std::stoi(next());
+        else if (a == "--memory-budget") {
+            const std::string v = next();
+            if (!parse_bytes(v, stream_cfg.memory_budget_bytes)) bad_value(v);
+        }
+        else if (a == "--stream-xor-len") next_int(stream_cfg.xor_max_len);
+        else if (a == "--stream-rounds") next_int(stream_cfg.discovery_rounds);
         else if (a == "--stream-no-bve") stream_cfg.window_bve = false;
         else if (a == "--stream-plain-cnf") stream_cfg.emit_xor_lines = false;
         else if (a == "--version") {
@@ -281,7 +306,7 @@ int run(int argc, char** argv) {
         else if (a == "--batch") batch_mode = true;
         else if (a == "--portfolio") portfolio_mode = true;
         else if (a == "--cooperative") opt.cooperative = true;
-        else if (a == "--threads") n_threads = std::stoul(next());
+        else if (a == "--threads") next_int(n_threads);
         else if (batch_mode && !a.empty() && a[0] != '-')
             batch_files.push_back(a);
         else if (a == "--cnfin") cnf_in = next();
@@ -300,46 +325,44 @@ int run(int argc, char** argv) {
             return 0;
         }
         else if (a == "-M") {
-            const unsigned m = std::stoul(next());
-            opt.xl.m_budget = m;
-            opt.elimlin.m_budget = m;
-        } else if (a == "-D") opt.xl.degree = std::stoul(next());
-        else if (a == "-K") opt.conv.karnaugh_k = std::stoul(next());
-        else if (a == "-L") opt.conv.xor_cut = std::stoul(next());
-        else if (a == "--lp") opt.clause_cut = std::stoul(next());
-        else if (a == "-C") opt.sat_conflicts_start = std::stoll(next());
-        else if (a == "--maxiters") opt.max_iterations = std::stoul(next());
-        else if (a == "--timeout") opt.time_budget_s = std::stod(next());
+            next_int(opt.xl.m_budget);
+            opt.elimlin.m_budget = opt.xl.m_budget;
+        } else if (a == "-D") next_int(opt.xl.degree);
+        else if (a == "-K") next_int(opt.conv.karnaugh_k);
+        else if (a == "-L") next_int(opt.conv.xor_cut);
+        else if (a == "--lp") next_int(opt.clause_cut);
+        else if (a == "-C") next_int(opt.sat_conflicts_start);
+        else if (a == "--maxiters") next_int(opt.max_iterations);
+        else if (a == "--timeout") next_seconds(opt.time_budget_s);
         else if (a == "--gb") opt.use_groebner = true;
         else if (a == "--sat-profile") {
-            opt.sat_profile = next();
-            sat::inprocess::ProfileId pid;
-            if (!sat::inprocess::profile_from_name(opt.sat_profile, pid)) {
+            const std::string name = next();
+            if (!sat::inprocess::profile_from_name(name, opt.sat_profile)) {
                 std::fprintf(stderr, "unknown --sat-profile: %s\n",
-                             opt.sat_profile.c_str());
+                             name.c_str());
                 usage();
                 return 2;
             }
             sat_profile_explicit = true;
         }
         else if (a == "--sat-restart-base") {
-            opt.sat_restart_base = std::stoi(next());
+            next_int(opt.sat_restart_base, 1);
             sat_knob_explicit = true;
         }
         else if (a == "--sat-db-floor") {
-            opt.sat_learnt_db_floor = std::stoll(next());
+            next_int(opt.sat_learnt_db_floor, 1);
             sat_knob_explicit = true;
         }
         else if (a == "--no-inprocess") opt.sat_inprocess = false;
         else if (a == "--no-xl") opt.use_xl = false;
         else if (a == "--no-el") opt.use_elimlin = false;
         else if (a == "--no-sat") opt.use_sat = false;
-        else if (a == "--seed") opt.seed = std::stoull(next());
+        else if (a == "--seed") next_int(opt.seed);
         else if (a == "--fault-plan") {
             const Status fs = fault::FaultInjector::global().arm(next());
             if (!fs.ok()) return fail(fs);
         }
-        else if (a == "-v") opt.verbosity = std::stoi(next());
+        else if (a == "-v") next_int(opt.verbosity);
         else if (a == "-h" || a == "--help") { usage(); return 0; }
         else {
             std::fprintf(stderr, "unknown option: %s\n", a.c_str());
@@ -360,7 +383,8 @@ int run(int argc, char** argv) {
     // Explicit solver knobs are dead weight while a profile overrides
     // them: --sat-restart-base / --sat-db-floor imply --sat-profile fixed
     // unless a profile was named explicitly.
-    if (sat_knob_explicit && !sat_profile_explicit) opt.sat_profile = "fixed";
+    if (sat_knob_explicit && !sat_profile_explicit)
+        opt.sat_profile = sat::inprocess::ProfileId::kFixed;
     if (batch_mode) {
         if (batch_files.empty()) {
             std::fprintf(stderr, "--batch needs at least one input file\n");

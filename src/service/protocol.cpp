@@ -19,19 +19,11 @@ std::vector<std::string> tokenize(const std::string& line) {
     return toks;
 }
 
-/// "-" means "service default" (0.0); otherwise a non-negative double.
+/// "-" means "service default" (0.0); otherwise parse_seconds.
 bool parse_timeout(const std::string& t, double& out) {
-    if (t == "-") {
-        out = 0.0;
-        return true;
-    }
-    try {
-        size_t used = 0;
-        out = std::stod(t, &used);
-        return used == t.size() && out >= 0.0;
-    } catch (...) {
-        return false;
-    }
+    if (t != "-") return parse_seconds(t, out);
+    out = 0.0;
+    return true;
 }
 
 std::string fmt_seconds(double s) {

@@ -47,10 +47,15 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// `timeout_s` (finite, >= 0) from now. A deadline beyond the clock's
+/// range saturates to the never-arriving time_point::max(): converting
+/// such a duration to integer ticks would overflow.
 Clock::time_point deadline_from_now(double timeout_s) {
-    return Clock::now() +
-           std::chrono::duration_cast<Clock::duration>(
-               std::chrono::duration<double>(timeout_s));
+    const Clock::time_point now = Clock::now();
+    const std::chrono::duration<double> room = Clock::time_point::max() - now;
+    if (timeout_s >= room.count()) return Clock::time_point::max();
+    return now + std::chrono::duration_cast<Clock::duration>(
+                     std::chrono::duration<double>(timeout_s));
 }
 
 /// Metrics key of the in-loop backend a config routes the SAT step to.
@@ -288,10 +293,13 @@ struct SolveService::Impl {
         // it, and the next job on the slot builds a fresh one.
         bool threw = false;
         try {
-            if (job->slot) {
-                run_sweep_job(*job, token, report, error, failed);
+            Result<Report> res = job->slot ? run_sweep_job(*job, token)
+                                           : run_one_shot_job(*job, token);
+            if (res.ok()) {
+                report = std::move(res).value();
             } else {
-                run_one_shot_job(*job, token, report, error, failed);
+                failed = true;
+                error = res.status();
             }
         } catch (const std::exception& e) {
             threw = failed = true;
@@ -323,42 +331,30 @@ struct SolveService::Impl {
 
     /// One Engine run (or cooperative portfolio race) on the job's own
     /// instance.
-    void run_one_shot_job(Job& job, const runtime::CancellationToken& token,
-                          Report& report, Status& error, bool& failed) {
+    Result<Report> run_one_shot_job(const Job& job,
+                                    const runtime::CancellationToken& token) {
         EngineConfig cfg = job.cfg;
         cfg.time_budget_s = std::min(cfg.time_budget_s, job.timeout_s);
-        if (cfg_.cooperative) {
-            // Cooperative mode: race the default portfolio on this
-            // instance with fact sharing. solve_portfolio creates and
-            // wires the shared pool; the entries all inherit this
-            // job's resolved config (backend spec included).
-            cfg.cooperative = true;
-            Result<PortfolioReport> res = solve_portfolio(
-                job.problem, default_portfolio(cfg), 0, token);
-            if (res.ok()) {
-                report = std::move(res).value().report;
-            } else {
-                failed = true;
-                error = res.status();
-            }
-        } else {
+        if (!cfg.cooperative) {
             Engine engine(cfg);
             engine.set_cancellation_token(token);
-            Result<Report> res = engine.run(job.problem);
-            if (res.ok()) {
-                report = std::move(res).value();
-            } else {
-                failed = true;
-                error = res.status();
-            }
+            return engine.run(job.problem);
         }
+        // Cooperative mode: race the default portfolio on this instance
+        // with fact sharing. solve_portfolio creates and wires the shared
+        // pool; the entries all inherit this job's resolved config
+        // (backend spec included).
+        Result<PortfolioReport> race =
+            solve_portfolio(job.problem, default_portfolio(cfg), 0, token);
+        if (!race.ok()) return race.status();
+        return std::move(race).value().report;
     }
 
     /// One push / assume* / solve / pop round trip on the job's warm
     /// session, materialising it first if this is the slot's first job.
     /// The scheduler guarantees exclusive slot access.
-    void run_sweep_job(Job& job, const runtime::CancellationToken& token,
-                       Report& report, Status& error, bool& failed) {
+    Result<Report> run_sweep_job(Job& job,
+                                 const runtime::CancellationToken& token) {
         SessionSlot& slot = *job.slot;
         if (!slot.session)
             slot.session = std::make_unique<Session>(slot.base, job.cfg);
@@ -370,20 +366,10 @@ struct SolveService::Impl {
             if (!st.ok()) break;
             st = session.assume(var, value);
         }
-        if (st.ok()) {
-            Result<Report> res = session.solve();
-            if (res.ok()) {
-                report = std::move(res).value();
-            } else {
-                failed = true;
-                error = res.status();
-            }
-        } else {
-            failed = true;
-            error = st;
-        }
+        Result<Report> res = st.ok() ? session.solve() : Result<Report>(st);
         session.pop();
         session.set_cancellation_token({});
+        return res;
     }
 
     /// Terminal state of a finished run. Requires mu_ (serialises the
@@ -455,9 +441,8 @@ struct SolveService::Impl {
             // Graceful drain: running jobs get the grace window (their
             // own deadlines still apply) before the cooperative cancel.
             if (cfg_.drain_grace_s > 0.0 && running_ > 0) {
-                cv_.wait_for(lk,
-                             std::chrono::duration<double>(cfg_.drain_grace_s),
-                             [this] { return running_ == 0; });
+                cv_.wait_until(lk, deadline_from_now(cfg_.drain_grace_s),
+                               [this] { return running_ == 0; });
             }
             for (auto& [id, job] : jobs_) {
                 if (job->state == JobState::kRunning)
@@ -516,8 +501,8 @@ namespace {
 
 /// Resolve and validate a per-job deadline against the service bounds.
 Result<double> resolve_timeout(const ServiceConfig& cfg, double requested) {
-    if (requested < 0.0)
-        return Status::invalid_argument("timeout_s must be >= 0");
+    if (!std::isfinite(requested) || requested < 0.0)
+        return Status::invalid_argument("timeout_s must be finite and >= 0");
     double t = requested == 0.0 ? cfg.default_timeout_s : requested;
     if (cfg.max_timeout_s > 0.0) t = std::min(t, cfg.max_timeout_s);
     return t;

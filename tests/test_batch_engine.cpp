@@ -234,13 +234,6 @@ TEST(Portfolio, DecidesPaperExampleAndReportsLosers) {
     EXPECT_EQ(run->outcomes[run->winner].verdict, run->report.verdict);
 }
 
-TEST(Portfolio, EngineStaticForwardsToFreeFunction) {
-    const Result<PortfolioReport> run = Engine::solve_portfolio(
-        paper_example(), default_portfolio(small_config()), 2);
-    ASSERT_TRUE(run.ok());
-    EXPECT_EQ(run->report.verdict, sat::Result::kSat);
-}
-
 TEST(Portfolio, EmptyEntryListIsInvalidArgument) {
     const Result<PortfolioReport> run =
         solve_portfolio(paper_example(), {}, 2);

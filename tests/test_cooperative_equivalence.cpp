@@ -21,9 +21,9 @@
 namespace bosphorus {
 namespace {
 
-using anf::Monomial;
 using anf::Polynomial;
-using anf::Var;
+using testutil::random_instance;
+using testutil::RandomInstance;
 
 /// Small budgets: these instances have <= 9 variables, so every path
 /// decides them in the first SAT step; the loop budget only bounds the
@@ -39,43 +39,6 @@ EngineConfig tiny_config(uint64_t seed) {
     cfg.time_budget_s = 20.0;
     cfg.seed = seed;
     return cfg;
-}
-
-/// A random degree-<=2 polynomial over `nv` variables.
-Polynomial random_poly(Rng& rng, unsigned nv) {
-    std::vector<Monomial> monos;
-    const size_t n = 1 + rng.below(4);
-    for (size_t i = 0; i < n; ++i) {
-        std::vector<Var> vars;
-        const size_t d = rng.below(3);  // constant, linear, or quadratic
-        for (size_t j = 0; j < d; ++j)
-            vars.push_back(static_cast<Var>(rng.below(nv)));
-        monos.emplace_back(vars);
-    }
-    return Polynomial(std::move(monos));
-}
-
-struct RandomInstance {
-    std::vector<Polynomial> polys;
-    unsigned num_vars = 0;
-    std::vector<uint32_t> models;  // brute-force ground truth
-};
-
-RandomInstance random_instance(Rng& rng) {
-    RandomInstance inst;
-    inst.num_vars = 4 + static_cast<unsigned>(rng.below(5));  // 4..8
-    const size_t n_eqs = inst.num_vars + rng.below(6);
-    for (size_t i = 0; i < n_eqs; ++i) {
-        Polynomial p = random_poly(rng, inst.num_vars);
-        // Drop 0 = 0 (no information) and 1 = 0 (trivially UNSAT at
-        // parse -- it would drown the draw in uninteresting instances).
-        if (p.is_zero() || p == Polynomial::constant(true)) continue;
-        inst.polys.push_back(std::move(p));
-    }
-    if (inst.polys.empty())
-        inst.polys.push_back(Polynomial::variable(0));  // degenerate draw
-    inst.models = testutil::anf_models(inst.polys, inst.num_vars);
-    return inst;
 }
 
 void expect_model_satisfies(const RandomInstance& inst,

@@ -12,6 +12,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -504,6 +506,75 @@ TEST(Service, TimeoutValidationAndCap) {
               StatusCode::kInvalidArgument);
 }
 
+TEST(Service, NonFiniteTimeoutsAreRejectedAndHugeOnesNeverExpire) {
+    ServiceConfig cfg;
+    cfg.engine = small_config();
+    cfg.n_workers = 1;
+    SolveService svc(cfg);
+    for (const double t : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+        EXPECT_EQ(svc.submit(one_shot("a", paper_example(), t)).status().code(),
+                  StatusCode::kInvalidArgument)
+            << t;
+    }
+    // Nothing was admitted: no job expired at once, and PAR-2 has no
+    // infinite sample to carry.
+    EXPECT_EQ(svc.stats().accepted, 0u);
+    EXPECT_EQ(svc.stats().expired, 0u);
+    EXPECT_TRUE(std::isfinite(svc.stats().par2()));
+    // A finite deadline past the clock's range (1e10 s of nanosecond
+    // ticks overflows int64) never arrives: the job runs to its verdict.
+    for (const double t : {1e10, 1e300}) {
+        const Result<JobId> id = svc.submit(one_shot("a", paper_example(), t));
+        ASSERT_TRUE(id.ok()) << t;
+        const Result<JobOutcome> out = svc.wait(*id);
+        ASSERT_TRUE(out.ok()) << t;
+        EXPECT_EQ(out->state, JobState::kDone) << t;
+        EXPECT_EQ(out->report.verdict, sat::Result::kSat) << t;
+    }
+    EXPECT_EQ(svc.stats().expired, 0u);
+}
+
+// ---- cooperative one-shot jobs ----------------------------------------------
+
+TEST(Service, CooperativeOneShotJobsMatchBruteForceAndShareFacts) {
+    // engine.cooperative runs every one-shot job as a cooperative
+    // portfolio race; the isolated service is the control and must not
+    // touch a pool at all.
+    for (const bool coop : {false, true}) {
+        ServiceConfig cfg;
+        cfg.engine = small_config();
+        cfg.engine.cooperative = coop;
+        cfg.n_workers = 2;
+        SolveService svc(cfg);
+        Rng rng(testutil::test_seed() * 7919 + 5);
+        std::vector<std::pair<JobId, sat::Result>> jobs;
+        for (int i = 0; i < 24; ++i) {
+            const testutil::RandomInstance inst = testutil::random_instance(rng);
+            const Result<JobId> id = svc.submit(
+                one_shot("a", Problem::from_anf(inst.polys, inst.num_vars)));
+            ASSERT_TRUE(id.ok()) << id.status().to_string();
+            jobs.emplace_back(*id, inst.models.empty() ? sat::Result::kUnsat
+                                                       : sat::Result::kSat);
+        }
+        size_t exchanged = 0;
+        for (const auto& [id, truth] : jobs) {
+            const Result<JobOutcome> out = svc.wait(id);
+            ASSERT_TRUE(out.ok());
+            EXPECT_EQ(out->state, JobState::kDone) << "job " << id;
+            EXPECT_EQ(out->report.verdict, truth)
+                << "job " << id << (coop ? " (cooperative)" : " (isolated)");
+            exchanged +=
+                out->report.facts_published + out->report.facts_imported;
+        }
+        if (coop)
+            EXPECT_GT(exchanged, 0u) << "no cooperative job shared a fact";
+        else
+            EXPECT_EQ(exchanged, 0u);
+    }
+}
+
 // ---- lifecycle and retention ------------------------------------------------
 
 TEST(Service, ShutdownCancelsQueuedAndRunning) {
@@ -522,6 +593,21 @@ TEST(Service, ShutdownCancelsQueuedAndRunning) {
     EXPECT_EQ(late.status().code(), StatusCode::kUnavailable);
     // Idempotent (also runs again in the destructor).
     svc.shutdown();
+}
+
+TEST(Service, DrainGraceLetsARunningJobReachItsDeadline) {
+    // A grace past the clock's range waits for the running job, whose own
+    // 0.3 s deadline then ends it: expired, not cancelled.
+    g_blocker_entered.store(0);
+    ServiceConfig cfg = blocking_service(1, 8);
+    cfg.drain_grace_s = 1e300;
+    SolveService svc(cfg);
+    const Result<JobId> id =
+        svc.submit(one_shot("a", opaque_problem(), /*timeout_s=*/0.3));
+    ASSERT_TRUE(id.ok());
+    wait_blocker_entered(1);
+    svc.shutdown();
+    EXPECT_EQ(*svc.job_state(*id), JobState::kExpired);
 }
 
 TEST(Service, RetentionEvictsOldestFinishedJobs) {

@@ -331,5 +331,37 @@ TEST(DaemonOptions, CountParserRejectsSignOverflowTrailingAndEmpty) {
     EXPECT_FALSE(parse_integer("+16", queue));
 }
 
+// bosphorusd's duration options (--drain-grace, --default-timeout, ...)
+// and the wire's timeout token go through parse_seconds.
+TEST(DaemonOptions, SecondsParserAcceptsFiniteNonNegativeOnly) {
+    double d = -1.0;
+    EXPECT_TRUE(parse_seconds("2.5", d));
+    EXPECT_EQ(d, 2.5);
+    EXPECT_TRUE(parse_seconds("0", d));
+    EXPECT_EQ(d, 0.0);
+    EXPECT_TRUE(parse_seconds("1e3", d));
+    EXPECT_EQ(d, 1000.0);
+    for (const char* bad : {"inf", "INF", "infinity", "nan", "NaN", "1e999",
+                            "0x10", "-1", "+1", "1.5s", " 1", "", "-"}) {
+        double v = 7.0;
+        EXPECT_FALSE(parse_seconds(bad, v)) << "'" << bad << "'";
+        EXPECT_EQ(v, 7.0) << "a rejected duration must leave the option as is";
+    }
+}
+
+TEST(Protocol, SubmitRejectsNonFiniteAndHexTimeouts) {
+    SolveService svc(quick_service());
+    Wire wire(svc);
+    for (const char* t : {"inf", "nan", "1e999", "0x10"}) {
+        const std::string resp = wire.request(
+            std::string("SUBMIT me anf ") + t + " - 5", kPaperAnf);
+        EXPECT_EQ(resp.rfind("ERR INVALID_ARGUMENT", 0), 0u) << t << ": " << resp;
+    }
+    // Nothing was admitted, so nothing expired either.
+    const std::string block = wire.request("METRICS");
+    EXPECT_NE(block.find("\njobs_accepted 0\n"), std::string::npos) << block;
+    EXPECT_NE(block.find("\njobs_expired 0\n"), std::string::npos) << block;
+}
+
 }  // namespace
 }  // namespace bosphorus

@@ -9,6 +9,7 @@
 
 #include "anf/polynomial.h"
 #include "sat/types.h"
+#include "util/rng.h"
 
 namespace bosphorus::testutil {
 
@@ -48,6 +49,45 @@ inline std::vector<uint32_t> anf_models(
         if (ok) models.push_back(m);
     }
     return models;
+}
+
+/// A random degree-<=2 polynomial over `nv` variables.
+inline anf::Polynomial random_poly(Rng& rng, unsigned nv) {
+    std::vector<anf::Monomial> monos;
+    const size_t n = 1 + rng.below(4);
+    for (size_t i = 0; i < n; ++i) {
+        std::vector<anf::Var> vars;
+        const size_t d = rng.below(3);  // constant, linear, or quadratic
+        for (size_t j = 0; j < d; ++j)
+            vars.push_back(static_cast<anf::Var>(rng.below(nv)));
+        monos.emplace_back(vars);
+    }
+    return anf::Polynomial(std::move(monos));
+}
+
+/// A random tiny ANF system and its brute-force models.
+struct RandomInstance {
+    std::vector<anf::Polynomial> polys;
+    unsigned num_vars = 0;
+    std::vector<uint32_t> models;  // brute-force ground truth
+};
+
+/// 4..8 variables, num_vars..num_vars+5 equations of degree <= 2.
+inline RandomInstance random_instance(Rng& rng) {
+    RandomInstance inst;
+    inst.num_vars = 4 + static_cast<unsigned>(rng.below(5));  // 4..8
+    const size_t n_eqs = inst.num_vars + rng.below(6);
+    for (size_t i = 0; i < n_eqs; ++i) {
+        anf::Polynomial p = random_poly(rng, inst.num_vars);
+        // Drop 0 = 0 (no information) and 1 = 0 (trivially UNSAT at
+        // parse -- it would drown the draw in uninteresting instances).
+        if (p.is_zero() || p == anf::Polynomial::constant(true)) continue;
+        inst.polys.push_back(std::move(p));
+    }
+    if (inst.polys.empty())
+        inst.polys.push_back(anf::Polynomial::variable(0));  // degenerate draw
+    inst.models = anf_models(inst.polys, inst.num_vars);
+    return inst;
 }
 
 /// All satisfying assignments of a CNF (clauses + xors).
