@@ -5,7 +5,9 @@
 /// ("w/o Bosphorus") or first run through the `Engine` learning loop,
 /// whose processed CNF -- original variables plus every learnt fact -- is
 /// then solved; the reported time includes the engine's own runtime
-/// ("w Bosphorus"). SAT models are verified against the *original* input.
+/// ("w Bosphorus"). An ANF problem reaches the back end as plain CNF
+/// converted under `engine.conv` in both arms. SAT models are verified
+/// against the *original* input.
 ///
 /// Thread safety: solve() builds all its state per call; concurrent
 /// solve() calls on distinct (or shared, const) Problems are safe.
@@ -39,11 +41,14 @@ struct SolveOutcome {
     double engine_seconds = 0.0;  ///< time spent in the learning loop
     bool solved_in_loop = false;  ///< decided by the engine itself
     bool model_verified = false;  ///< SAT model checked against the input
+    /// kSat: the verified assignment of the input's variables; else empty.
+    std::vector<bool> model;
     sat::Solver::Stats solver_stats;  ///< back-end solver counters
 };
 
-/// Solve an ANF or CNF problem. Errors only on malformed input (e.g. an
-/// empty Problem is fine: it is trivially SAT).
+/// Solve an ANF or CNF problem. Errors on malformed input (an empty
+/// Problem is fine: it is trivially SAT) and on an `engine.conv` that
+/// fails Anf2CnfConfig::check(), with either value of `preprocess`.
 Result<SolveOutcome> solve(const Problem& problem,
                            const SolveConfig& cfg = {});
 

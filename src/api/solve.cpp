@@ -1,7 +1,9 @@
 #include "bosphorus/solve.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/anf_to_cnf.h"
 #include "core/cnf_to_anf.h"
@@ -13,12 +15,18 @@ using anf::Polynomial;
 
 namespace {
 
-/// Check a CNF model against the original ANF equations.
-bool verify_anf_model(const std::vector<Polynomial>& polys, size_t num_vars,
-                      const std::vector<sat::LBool>& model) {
+/// The first `num_vars` values of a back-end model (unassigned = false).
+std::vector<bool> model_prefix(const std::vector<sat::LBool>& model,
+                               size_t num_vars) {
     std::vector<bool> assignment(num_vars, false);
     for (size_t v = 0; v < num_vars && v < model.size(); ++v)
         assignment[v] = model[v] == sat::LBool::kTrue;
+    return assignment;
+}
+
+/// Check an assignment against the original ANF equations.
+bool verify_anf_model(const std::vector<Polynomial>& polys,
+                      const std::vector<bool>& assignment) {
     for (const auto& p : polys) {
         if (p.evaluate(assignment)) return false;
     }
@@ -46,6 +54,7 @@ Status preprocess(const Problem& problem, const SolveConfig& cfg, Report* rep,
         out->result = sat::Result::kSat;
         out->solved_in_loop = true;
         out->model_verified = true;  // checked inside the loop
+        out->model = rep->solution;
         *decided = true;
     }
     return Status();
@@ -70,7 +79,11 @@ Result<SolveOutcome> solve_anf(const std::vector<Polynomial>& polys,
         }
         conv = rep.to_cnf(cfg.engine.conv);
     } else {
-        conv = core::anf_to_cnf(polys, num_vars);
+        // The same plain conversion the "w" arm's Report::to_cnf uses, so
+        // the two Table II arms differ only in the learning loop.
+        core::Anf2CnfConfig plain = cfg.engine.conv;
+        plain.native_xor = false;
+        conv = core::anf_to_cnf(polys, num_vars, plain);
     }
 
     const double remaining = std::max(0.1, cfg.timeout_s - timer.seconds());
@@ -80,8 +93,10 @@ Result<SolveOutcome> solve_anf(const std::vector<Polynomial>& polys,
     out.result = so->result;
     out.solver_stats = so->stats;
     if (so->result == sat::Result::kSat) {
-        out.model_verified = verify_anf_model(polys, num_vars, so->model);
+        std::vector<bool> model = model_prefix(so->model, num_vars);
+        out.model_verified = verify_anf_model(polys, model);
         if (!out.model_verified) out.result = sat::Result::kUnknown;
+        else out.model = std::move(model);
     }
     out.seconds = timer.seconds();
     return out;
@@ -139,6 +154,7 @@ Result<SolveOutcome> solve_cnf_problem(const sat::Cnf& cnf,
     if (so->result == sat::Result::kSat) {
         out.model_verified = sat::model_satisfies(cnf, so->model);
         if (!out.model_verified) out.result = sat::Result::kUnknown;
+        else out.model = model_prefix(so->model, cnf.num_vars);
     }
     out.seconds = timer.seconds();
     return out;
@@ -147,6 +163,10 @@ Result<SolveOutcome> solve_cnf_problem(const sat::Cnf& cnf,
 }  // namespace
 
 Result<SolveOutcome> solve(const Problem& problem, const SolveConfig& cfg) {
+    // Both arms convert with cfg.engine.conv, so both reject what the
+    // Engine would.
+    if (const std::string bad = cfg.engine.conv.check(); !bad.empty())
+        return Status::invalid_argument("EngineConfig::conv: " + bad);
     if (problem.kind() == Problem::Kind::kCnf)
         return solve_cnf_problem(problem.cnf(), cfg, problem);
     return solve_anf(problem.polynomials(), problem.num_vars(), cfg, problem);

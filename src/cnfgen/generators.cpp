@@ -298,6 +298,9 @@ std::vector<SuiteInstance> sat2017_substitute_suite(unsigned scale,
     Rng rng(seed);
     std::vector<SuiteInstance> suite;
     const size_t s = std::max(1u, scale);
+    const auto known = [](bool satisfiable) {
+        return satisfiable ? sat::Result::kSat : sat::Result::kUnsat;
+    };
 
     // Random 3-SAT at the phase transition: half below, half above the
     // threshold ratio, giving a SAT/UNSAT mix.
@@ -313,7 +316,7 @@ std::vector<SuiteInstance> sat2017_substitute_suite(unsigned scale,
     // Pigeonhole: hard UNSAT for resolution.
     for (unsigned holes = 5 + s; holes <= 6 + s; ++holes) {
         suite.push_back({"php-" + std::to_string(holes), "pigeonhole",
-                         pigeonhole(holes)});
+                         pigeonhole(holes), sat::Result::kUnsat});
     }
     // XOR cycles: GF(2)-structured, half SAT half UNSAT.
     for (int i = 0; i < 4; ++i) {
@@ -321,7 +324,8 @@ std::vector<SuiteInstance> sat2017_substitute_suite(unsigned scale,
         const bool satisfiable = (i % 2 == 0);
         suite.push_back({"xorcycle-" + std::to_string(len) +
                              (satisfiable ? "-sat" : "-unsat"),
-                         "xor-cycle", xor_cycle(len, satisfiable, rng)});
+                         "xor-cycle", xor_cycle(len, satisfiable, rng),
+                         known(satisfiable)});
     }
     // Tseitin expanders: the resolution-hard / GF(2)-easy separator.
     for (int i = 0; i < 4; ++i) {
@@ -330,7 +334,8 @@ std::vector<SuiteInstance> sat2017_substitute_suite(unsigned scale,
         suite.push_back({"tseitin-" + std::to_string(n) +
                              (satisfiable ? "-sat" : "-unsat"),
                          "tseitin-expander",
-                         tseitin_expander(n, satisfiable, rng)});
+                         tseitin_expander(n, satisfiable, rng),
+                         known(satisfiable)});
     }
     // Graph colouring.
     for (int i = 0; i < 2; ++i) {

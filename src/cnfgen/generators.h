@@ -100,6 +100,10 @@ struct SuiteInstance {
     std::string name;
     std::string family;
     sat::Cnf cnf;
+    /// The answer known by construction: kUnsat for pigeonhole and the
+    /// `-unsat` parity families, kSat for `-sat`, kUnknown where the
+    /// generator does not decide it (random 3-SAT, colouring).
+    sat::Result expected = sat::Result::kUnknown;
 };
 
 /// The mixed suite standing in for the SAT-2017 rows of Table II. `scale`

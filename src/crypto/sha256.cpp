@@ -216,6 +216,25 @@ public:
 
 }  // namespace
 
+uint32_t Sha256Instance::nonce_of(const std::vector<bool>& assignment) const {
+    uint32_t out = 0;
+    for (unsigned b = 0; b < 32; ++b)
+        if (assignment.at(nonce_base + b)) out |= 1u << b;
+    return out;
+}
+
+std::array<uint32_t, 8> Sha256Instance::digest(uint32_t nonce) const {
+    // Nonce bit 0 is W12 bit 0; nonce bits 1..31 are W13 bits 1..31.
+    std::array<uint32_t, 16> spliced = block;
+    spliced[12] = (spliced[12] & ~1u) | (nonce & 1u);
+    spliced[13] = (spliced[13] & 1u) | ((nonce >> 1) << 1);
+    return sha256_compress(spliced, rounds);
+}
+
+bool Sha256Instance::meets_target(uint32_t nonce) const {
+    return k == 0 || (digest(nonce)[0] >> (32 - k)) == 0;
+}
+
 Sha256Instance encode_bitcoin_nonce(unsigned k, unsigned rounds, Rng& rng,
                                     bool ensure_satisfiable) {
     assert(k <= 32 && rounds >= 1 && rounds <= 64);

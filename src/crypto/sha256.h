@@ -40,8 +40,15 @@ struct Sha256Instance {
     uint32_t nonce = 0;         ///< the witnessed nonce value
 
     unsigned k = 0;
-    unsigned rounds = 0;
+    unsigned rounds = 0;  ///< rounds actually encoded (after the clamp)
     std::array<uint32_t, 16> block{};  ///< witnessed message block
+
+    /// The nonce an assignment of this instance's variables holds.
+    uint32_t nonce_of(const std::vector<bool>& assignment) const;
+    /// Digest of `block` with `nonce` spliced in, over `rounds` rounds.
+    std::array<uint32_t, 8> digest(uint32_t nonce) const;
+    /// The re-check of a found nonce: does its digest start with k zeros?
+    bool meets_target(uint32_t nonce) const;
 };
 
 /// Build a weakened Bitcoin nonce-finding instance: first `k` output bits

@@ -210,12 +210,32 @@ TEST(CnfGen, GraphColoringTriangleTwoColorsUnsat) {
 TEST(CnfGen, SuiteIsWellFormed) {
     const auto suite = cnfgen::sat2017_substitute_suite(1, 42);
     EXPECT_GE(suite.size(), 10u);
+    const auto ends_with = [](const std::string& s, const std::string& tail) {
+        return s.size() >= tail.size() &&
+               s.compare(s.size() - tail.size(), tail.size(), tail) == 0;
+    };
+    size_t known = 0;
     for (const auto& inst : suite) {
         EXPECT_FALSE(inst.name.empty());
         EXPECT_FALSE(inst.family.empty());
         EXPECT_GT(inst.cnf.num_vars, 0u);
         EXPECT_FALSE(inst.cnf.clauses.empty());
+
+        // The known verdict follows the construction, and a bounded
+        // back-end solve must agree with it.
+        const sat::Result want =
+            inst.family == "pigeonhole" || ends_with(inst.name, "-unsat")
+                ? sat::Result::kUnsat
+            : ends_with(inst.name, "-sat") ? sat::Result::kSat
+                                           : sat::Result::kUnknown;
+        EXPECT_EQ(inst.expected, want) << inst.name;
+        if (inst.expected == sat::Result::kUnknown) continue;
+        ++known;
+        const auto out = sat::solve_cnf_with(inst.cnf, "cms", 30.0);
+        ASSERT_TRUE(out.ok()) << inst.name;
+        EXPECT_EQ(out->result, inst.expected) << inst.name;
     }
+    EXPECT_EQ(known, 10u) << "pigeonhole x2, xor-cycle x4, tseitin x4";
 }
 
 // ---- rng -------------------------------------------------------------------

@@ -297,6 +297,11 @@ TEST_P(Sha256Params, WitnessSatisfiesEncoding) {
     // The witnessed block must genuinely produce k leading zero bits.
     const auto digest = sha256_compress(inst.block, rounds);
     if (k > 0) EXPECT_EQ(digest[0] >> (32 - k), 0u);
+    // The re-check helpers agree: the witness holds the witnessed nonce,
+    // which re-hashes to the same digest.
+    EXPECT_EQ(inst.nonce_of(inst.witness), inst.nonce);
+    EXPECT_EQ(inst.digest(inst.nonce), digest);
+    EXPECT_TRUE(inst.meets_target(inst.nonce));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -312,6 +317,10 @@ TEST(Sha256, RoundsClampedSoNonceMatters) {
     Rng rng(8);
     const auto inst = encode_bitcoin_nonce(4, 8, rng);
     EXPECT_GE(inst.rounds, 14u);
+    // The re-check hashes over the rounds actually encoded, not the 8
+    // requested, so the witness passes it.
+    ASSERT_TRUE(inst.has_witness);
+    EXPECT_TRUE(inst.meets_target(inst.nonce));
     EXPECT_FALSE(inst.polys.empty());
     // At least one equation must involve a nonce variable.
     bool nonce_used = false;

@@ -391,6 +391,52 @@ TEST(Solve, AnfBothModesThroughFacade) {
     }
 }
 
+TEST(Solve, BothArmsConvertWithAndCheckEngineConv) {
+    const auto problem = paper_example();
+    SolveConfig cfg;
+    cfg.engine = small_config();
+    cfg.solver = "minisat";
+    cfg.timeout_s = 30.0;
+    cfg.engine_budget_s = 5.0;
+
+    // A conversion the converter cannot honour fails both arms alike.
+    cfg.engine.conv.xor_cut = 2;
+    for (const bool with : {false, true}) {
+        cfg.preprocess = with;
+        const auto bad = solve(problem, cfg);
+        ASSERT_FALSE(bad.ok()) << "with=" << with;
+        EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+    }
+
+    // The "without" arm hands the back end the plain conversion under
+    // cfg.engine.conv -- here one that differs from the default.
+    cfg.engine.conv.xor_cut = 3;
+    cfg.engine.conv.karnaugh_k = 2;
+    cfg.engine.conv.native_xor = true;  // back ends still get plain CNF
+    core::Anf2CnfConfig plain = cfg.engine.conv;
+    plain.native_xor = false;
+    const sat::Cnf cnf =
+        core::anf_to_cnf(problem.polynomials(), problem.num_vars(), plain).cnf;
+    ASSERT_NE(cnf.num_vars,
+              core::anf_to_cnf(problem.polynomials(), problem.num_vars())
+                  .cnf.num_vars);
+    const auto direct = sat::solve_cnf_with(cnf, "minisat", 30.0);
+    ASSERT_TRUE(direct.ok());
+
+    const std::vector<bool> expect{true, true, true, true, false};
+    for (const bool with : {false, true}) {
+        cfg.preprocess = with;
+        const auto out = solve(problem, cfg);
+        ASSERT_TRUE(out.ok()) << "with=" << with;
+        EXPECT_EQ(out->result, sat::Result::kSat) << "with=" << with;
+        EXPECT_TRUE(out->model_verified) << "with=" << with;
+        EXPECT_EQ(out->model, expect) << "with=" << with;
+        if (with) continue;
+        EXPECT_EQ(out->solver_stats.decisions, direct->stats.decisions);
+        EXPECT_EQ(out->solver_stats.propagations, direct->stats.propagations);
+    }
+}
+
 TEST(Solve, DefaultSolverMatchesCliDocumentation) {
     // The CLI usage text promises `--solver` defaults to cms; SolveConfig
     // must agree with it and name a registered backend.

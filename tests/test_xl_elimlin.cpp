@@ -264,6 +264,32 @@ TEST(ElimLin, SectionIICExample) {
     EXPECT_GE(stats.eliminated_vars, 1u);
 }
 
+TEST(ElimLin, Fig1StepOnXlAugmentedSectionIIEExample) {
+    // Fig. 1: ElimLin runs on the master copy after XL's facts are added.
+    // On the section II-E system its first GJE surfaces four linear
+    // equations and substitution then derives x1 + 1.
+    const auto sys = parse_system_from_string(
+        "x1*x2 + x3 + x4 + 1\n"
+        "x1*x2*x3 + x1 + x3 + 1\n"
+        "x1*x3 + x3*x4*x5 + x3\n"
+        "x2*x3 + x3*x5 + 1\n"
+        "x2*x3 + x5 + 1\n");
+    Rng rng(1);
+    XlConfig xl_cfg;
+    xl_cfg.m_budget = 20;
+    std::vector<Polynomial> augmented = sys.polynomials;
+    for (const auto& f : run_xl(sys.polynomials, xl_cfg, rng))
+        augmented.push_back(f);
+
+    ElimLinConfig cfg;
+    cfg.m_budget = 20;
+    const auto facts = run_elimlin(augmented, cfg, rng);
+    for (const char* f : {"x1 + x5 + 1", "x1 + x4", "x3 + 1", "x1 + x2",
+                          "x1 + 1"}) {
+        EXPECT_TRUE(contains(facts, f)) << f;
+    }
+}
+
 TEST(ElimLin, DetectsContradiction) {
     const auto sys = parse_system_from_string("x1 + x2\nx1 + x2 + 1\n");
     ElimLinConfig cfg;
