@@ -1,11 +1,11 @@
 // Core-pipeline hot-path harness: terms/sec through a mirrored XL-expand /
-// linearise / ElimLin loop, and three in-run kernel ratios measured on the
-// matrices and substitutions that loop produces.
+// linearise / ElimLin loop, and four in-run kernel ratios measured on the
+// systems, matrices and substitutions that loop produces.
 //
 // The tracked throughput is terms/sec: the count of monomial terms flowing
 // through products, matrix fills and substitutions, divided by the
 // pipeline's wall-clock (informational; absolute, so machine-dependent).
-// The three ratios are machine-independent and gated in CI:
+// The four ratios are machine-independent and gated in CI:
 //  - `elim_kernel_over_plain`: plain Gauss-Jordan time over
 //    Matrix::rref_sparse() time on the pipeline's linearised matrices
 //    (both must reduce to the same matrix);
@@ -17,8 +17,13 @@
 //  - `karnaugh_memo_over_direct`: the time to convert SR(2,2,2,4) systems
 //    to CNF with every Karnaugh cover taken from the warm process-wide
 //    memo, against the same conversion calling the minimiser for every
-//    chunk (the clauses must match).
-// The harness exits nonzero if any of the three pairs disagrees.
+//    chunk (the clauses must match);
+//  - `linearize_over_hashed`: a hashed-column reference linearisation's
+//    time (a hash set to de-duplicate, a hash map from monomial to
+//    column) over core::linearize()'s (the per-thread mark table) on the
+//    systems the pipeline linearises (both must give the same columns and
+//    matrix).
+// The harness exits nonzero if any of the four pairs disagrees.
 //
 // Output: JSON to stdout and BENCH_hotpath.json (override with
 // BENCH_JSON_OUT).
@@ -46,6 +51,7 @@
 #include "bosphorus/bosphorus.h"
 #include "cnfgen/generators.h"
 #include "core/anf_to_cnf.h"
+#include "core/linearize.h"
 #include "crypto/aes_small.h"
 #include "gf2/gf2_matrix.h"
 #include "util/rng.h"
@@ -76,6 +82,36 @@ struct HotOutcome {
     uint64_t terms = 0;
 };
 
+// The hashed-column reference linearisation the pipeline runs on: a hash
+// set de-duplicates the terms, the distinct monomials are sorted
+// descending deg-lex, and a hash map gives each term its column.
+struct HashedLinearization {
+    std::vector<Mono> cols;
+    bosphorus::gf2::Matrix matrix;
+};
+
+HashedLinearization hashed_linearize(const std::vector<Poly>& polys) {
+    HashedLinearization lin;
+    std::unordered_set<Mono, MonoHash> seen;
+    for (const Poly& p : polys) {
+        for (const Mono& m : p.monomials()) {
+            if (seen.insert(m).second) lin.cols.push_back(m);
+        }
+    }
+    std::sort(lin.cols.begin(), lin.cols.end(),
+              [](const Mono& a, const Mono& b) { return b < a; });
+    std::unordered_map<Mono, size_t, MonoHash> col_of;
+    col_of.reserve(lin.cols.size());
+    for (size_t c = 0; c < lin.cols.size(); ++c)
+        col_of.emplace(lin.cols[c], c);
+
+    lin.matrix = bosphorus::gf2::Matrix(polys.size(), lin.cols.size());
+    for (size_t r = 0; r < polys.size(); ++r)
+        for (const Mono& m : polys[r].monomials())
+            lin.matrix.flip(r, col_of.at(m));
+    return lin;
+}
+
 // One ElimLin substitution q := q[v := by], as the pipeline met it.
 struct SubstCase {
     Poly q, by;
@@ -85,12 +121,12 @@ struct SubstCase {
 // The mirrored hot pipeline. No randomness, no id-value dependence, no
 // unordered-container iteration leaks (sets are membership/size only, the
 // column list is sorted before use), so its facts are deterministic.
-// `matrices`, if non-null, receives a copy of every linearised matrix
-// before its reduction; `substs`, if non-null, receives every ElimLin
-// substitution before it is applied.
+// `systems`, if non-null, receives a copy of every system the pipeline
+// linearises; `substs`, if non-null, receives every ElimLin substitution
+// before it is applied.
 HotOutcome run_hot_pipeline(
     const std::vector<Poly>& input, const HotKnobs& knobs,
-    std::vector<bosphorus::gf2::Matrix>* matrices = nullptr,
+    std::vector<std::vector<Poly>>* systems = nullptr,
     std::vector<SubstCase>* substs = nullptr) {
     HotOutcome out;
 
@@ -106,29 +142,13 @@ HotOutcome run_hot_pipeline(
         std::vector<Poly> linear, nonlinear;
         bool contradiction = false;
     };
-    auto linear_pass = [&out, matrices](const std::vector<Poly>& polys) {
+    auto linear_pass = [&out, systems](const std::vector<Poly>& polys) {
         Reduced red;
-        std::unordered_set<Mono, MonoHash> seen;
-        std::vector<Mono> cols;
-        for (const Poly& p : polys) {
-            for (const Mono& m : p.monomials()) {
-                if (seen.insert(m).second) cols.push_back(m);
-            }
-        }
-        std::sort(cols.begin(), cols.end(),
-                  [](const Mono& a, const Mono& b) { return b < a; });
-        std::unordered_map<Mono, size_t, MonoHash> col_of;
-        col_of.reserve(cols.size());
-        for (size_t c = 0; c < cols.size(); ++c) col_of.emplace(cols[c], c);
-
-        bosphorus::gf2::Matrix mat(polys.size(), cols.size());
-        for (size_t r = 0; r < polys.size(); ++r) {
-            for (const Mono& m : polys[r].monomials()) {
-                mat.flip(r, col_of.at(m));
-                ++out.terms;
-            }
-        }
-        if (matrices) matrices->push_back(mat);
+        if (systems) systems->push_back(polys);
+        HashedLinearization lin = hashed_linearize(polys);
+        for (const Poly& p : polys) out.terms += p.size();
+        const std::vector<Mono>& cols = lin.cols;
+        bosphorus::gf2::Matrix& mat = lin.matrix;
         mat.rref_sparse();
 
         for (size_t r = 0; r < mat.rows(); ++r) {
@@ -335,16 +355,22 @@ int main() {
         pipeline_s > 0 ? static_cast<double>(pipeline_terms) / pipeline_s
                        : 0.0;
 
+    // The systems the pipeline linearises, collected by one extra,
+    // untimed pass.
+    std::vector<std::vector<Poly>> linearised;
+    for (size_t i = 0; i < instances; ++i)
+        run_hot_pipeline(systems[i], knobs, &linearised);
+
     // ---- the elimination kernel vs plain Gauss-Jordan on the pipeline's
-    // linearised matrices (collected by one extra, untimed pass),
-    // alternating per matrix, 10 passes per repetition (one pass takes
-    // about a millisecond). Both must reduce to the same matrix.
+    // linearised matrices, alternating per matrix, 10 passes per
+    // repetition (one pass takes about a millisecond). Both must reduce to
+    // the same matrix.
     double kernel_s = 0.0, plain_s = 0.0;
     bool elim_identical = true;
     {
         std::vector<bosphorus::gf2::Matrix> matrices;
-        for (size_t i = 0; i < instances; ++i)
-            run_hot_pipeline(systems[i], knobs, &matrices);
+        for (const auto& sys : linearised)
+            matrices.push_back(hashed_linearize(sys).matrix);
         for (size_t rep = 0; rep < 10 * reps; ++rep) {
             for (const auto& base : matrices) {
                 bosphorus::gf2::Matrix kernel = base, plain = base;
@@ -362,6 +388,29 @@ int main() {
             std::fprintf(stderr, "kernel and plain rref reduced differently\n");
     }
     const double kernel_over_plain = kernel_s > 0 ? plain_s / kernel_s : 0.0;
+
+    // ---- core::linearize vs the hashed-column reference on the same
+    // systems, alternating per system, 10 passes per repetition. Both must
+    // give the same columns and matrix.
+    double marks_s = 0.0, hashed_s = 0.0;
+    bool lin_identical = true;
+    for (size_t rep = 0; rep < 10 * reps; ++rep) {
+        for (const auto& sys : linearised) {
+            Timer tm;
+            const auto lin = bosphorus::core::linearize(sys);
+            marks_s += tm.seconds();
+            Timer th;
+            const auto ref = hashed_linearize(sys);
+            hashed_s += th.seconds();
+            lin_identical = lin_identical && lin.col_monomial == ref.cols &&
+                            lin.matrix == ref.matrix;
+        }
+    }
+    if (!lin_identical)
+        std::fprintf(stderr,
+                     "core::linearize and the hashed reference disagree\n");
+    const double linearize_over_hashed =
+        marks_s > 0 ? hashed_s / marks_s : 0.0;
 
     // ---- the substitution kernel vs the reference composition on the
     // pipeline's ElimLin substitutions (collected by one extra, untimed
@@ -519,6 +568,11 @@ int main() {
         karnaugh_chunks, memo_s, direct_s,
         conv_identical ? "true" : "false");
     add("  \"karnaugh_memo_over_direct\": %.3f,\n", memo_over_direct);
+    add("  \"linearize\": {\"systems\": %zu, \"marks_seconds\": %.4f, "
+        "\"hashed_seconds\": %.4f, \"identical\": %s},\n",
+        linearised.size(), marks_s, hashed_s,
+        lin_identical ? "true" : "false");
+    add("  \"linearize_over_hashed\": %.3f,\n", linearize_over_hashed);
     add("  \"engine\": {\"seconds\": %.4f, \"sat\": %zu, \"unsat\": %zu, "
         "\"unknown\": %zu},\n",
         engine_s, n_sat, n_unsat, n_unknown);
@@ -530,5 +584,8 @@ int main() {
     if (std::ofstream out{json_path}) out << json;
     else std::fprintf(stderr, "warning: cannot write %s\n", json_path);
 
-    return (elim_identical && subst_identical && conv_identical) ? 0 : 1;
+    return (elim_identical && subst_identical && conv_identical &&
+            lin_identical)
+               ? 0
+               : 1;
 }

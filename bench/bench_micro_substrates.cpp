@@ -55,8 +55,7 @@ static void BM_Gf2RrefSparseSr(benchmark::State& state) {
     core::XlConfig cfg;
     cfg.m_budget = 20;
     Rng xl_rng(7);
-    const gf2::Matrix base =
-        core::linearize(core::expand_xl(sr, cfg, xl_rng)).matrix;
+    const gf2::Matrix base = core::expand_xl(sr, cfg, xl_rng).matrix;
     for (auto _ : state) {
         gf2::Matrix m = base;
         if (state.range(0)) {

@@ -176,6 +176,10 @@ public:
     /// Number of distinct monomials interned so far.
     size_t size() const { return count_.load(std::memory_order_acquire); }
 
+    /// Process-unique and never reused: per-thread id-indexed tables (the
+    /// front caches, core::MonoMarks) key on it.
+    uint64_t serial() const { return serial_; }
+
     size_t mul_memo_hits() const { return memo_hits_.load(std::memory_order_relaxed); }
     size_t mul_memo_misses() const { return memo_misses_.load(std::memory_order_relaxed); }
 

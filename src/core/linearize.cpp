@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <unordered_set>
+#include <numeric>
+#include <stdexcept>
 
 namespace bosphorus::core {
 
@@ -10,37 +11,61 @@ using anf::MonoId;
 using anf::Monomial;
 using anf::Polynomial;
 
-Linearization linearize(const std::vector<Polynomial>& polys) {
-    Linearization lin;
+MonoMarks::MonoMarks()
+    : table_([]() -> Table& {
+          thread_local Table table;
+          return table;
+      }()) {
+    if (table_.open) throw std::logic_error("nested MonoMarks scope");
+    const uint64_t serial = anf::MonomialStore::global().serial();
+    if (table_.serial != serial) table_ = {{}, {}, serial, false};
+    table_.open = true;
+}
 
-    // Gather every term and de-duplicate by 4-byte id; then sort only the
-    // distinct monomials by content, descending deg-lex (highest-degree
-    // monomials in the leftmost columns). Memory stays O(system terms)
-    // however large the global interned vocabulary has grown.
+MonoMarks::~MonoMarks() {
+    for (MonoId id : table_.touched) table_.marks[id] = 0;
+    table_.touched.clear();
+    table_.open = false;
+}
+
+void MonoMarks::grow(MonoId id) {
+    // Cover every id interned so far, allocated in the store's own
+    // 8192-entry block steps: at most 1/8 of its entry bytes.
+    const size_t need = std::max<size_t>(size_t{id} + 1,
+                                         anf::MonomialStore::global().size());
+    table_.marks.reserve((need + 8191) / 8192 * 8192);
+    table_.marks.resize(need, 0);
+}
+
+Linearization linearize(const TermRows& rows) {
+    // Mark each term on first sight and content-sort only the distinct
+    // monomials, descending deg-lex (highest-degree monomials in the
+    // leftmost columns); then each mark holds its column + 1 while the
+    // bits are set.
+    Linearization lin;
+    MonoMarks marks;
     std::vector<Monomial>& cols = lin.col_monomial;
-    size_t total_terms = 0;
-    for (const auto& p : polys) total_terms += p.size();
-    cols.reserve(total_terms);
-    for (const auto& p : polys)
-        cols.insert(cols.end(), p.monomials().begin(), p.monomials().end());
-    std::sort(cols.begin(), cols.end(),
-              [](const Monomial& a, const Monomial& b) {
-                  return a.id() < b.id();
-              });
-    cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+    for (MonoId id : rows.terms) {
+        uint32_t& m = marks[id];
+        if (m == 0) cols.push_back(Monomial::from_id(id));
+        m = 1;
+    }
     std::sort(cols.begin(), cols.end(),
               [](const Monomial& a, const Monomial& b) { return b < a; });
-
-    lin.col_index.reserve(cols.size());
     for (size_t c = 0; c < cols.size(); ++c)
-        lin.col_index.emplace(cols[c].id(), static_cast<uint32_t>(c));
+        marks[cols[c].id()] = static_cast<uint32_t>(c + 1);
 
-    lin.matrix = gf2::Matrix(polys.size(), cols.size());
-    for (size_t r = 0; r < polys.size(); ++r) {
-        for (const auto& m : polys[r].monomials())
-            lin.matrix.flip(r, lin.col_index.find(m.id())->second);
-    }
+    lin.matrix = gf2::Matrix(rows.size(), cols.size());
+    for (size_t r = 0; r < rows.size(); ++r)
+        for (size_t i = rows.offsets[r]; i < rows.offsets[r + 1]; ++i)
+            lin.matrix.flip(r, marks[rows.terms[i]] - 1);
     return lin;
+}
+
+Linearization linearize(const std::vector<Polynomial>& polys) {
+    TermRows rows;
+    for (const auto& p : polys) rows.push(p);
+    return linearize(rows);
 }
 
 size_t reduce(Linearization& lin) { return lin.matrix.rref_sparse(); }
@@ -84,25 +109,41 @@ std::vector<Polynomial> extract_facts(const Linearization& lin) {
     return facts;
 }
 
+namespace {
+
+// Mark p's terms; returns how many were not marked yet.
+size_t mark_new_terms(MonoMarks& marks, const Polynomial& p) {
+    size_t fresh = 0;
+    for (const Monomial& t : p.monomials()) {
+        uint32_t& m = marks[t.id()];
+        fresh += m == 0;
+        m = 1;
+    }
+    return fresh;
+}
+
+}  // namespace
+
 size_t linearized_size(const std::vector<Polynomial>& polys) {
-    std::unordered_set<MonoId> monos;
-    for (const auto& p : polys)
-        for (const auto& m : p.monomials()) monos.insert(m.id());
-    return polys.size() * monos.size();
+    MonoMarks marks;
+    size_t distinct = 0;
+    for (const auto& p : polys) distinct += mark_new_terms(marks, p);
+    return polys.size() * distinct;
 }
 
 std::vector<size_t> subsample(const std::vector<Polynomial>& polys,
                               size_t budget, Rng& rng) {
     std::vector<size_t> order(polys.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::iota(order.begin(), order.end(), size_t{0});
     rng.shuffle(order);
 
-    std::unordered_set<MonoId> monos;
+    MonoMarks marks;
+    size_t distinct = 0;
     std::vector<size_t> chosen;
     for (size_t idx : order) {
         chosen.push_back(idx);
-        for (const auto& m : polys[idx].monomials()) monos.insert(m.id());
-        if (chosen.size() * monos.size() >= budget) break;
+        distinct += mark_new_terms(marks, polys[idx]);
+        if (chosen.size() * distinct >= budget) break;
     }
     std::sort(chosen.begin(), chosen.end());
     return chosen;

@@ -10,12 +10,13 @@
 // fully-reduced rows end with low-degree tails -- this is what makes the
 // retained rows of Table I come out as linear and monomial facts.
 //
-// The monomial -> column map is keyed by the interned 4-byte MonoId (the
-// old map hashed whole variable vectors per term). The terms are
-// de-duplicated by id first, so the deg-lex content sort runs only over the
-// distinct monomials. All structures are sized by the system's own term
-// count, never by the global store -- a long-lived Session can intern
-// millions of monomials without inflating later linearisations.
+// The monomial -> column map lives in one per-thread mark table indexed by
+// MonoId (MonoMarks below): a term is marked on first sight, only the
+// distinct monomials are content-sorted, and each one's mark then holds its
+// column while the bits are set. Raw id values never reach the output.
+// The table costs 4 bytes per entry of the global MonomialStore, per thread
+// that linearises: at most 1/8 of the store's own entry bytes (32-byte
+// entries, allocated in the same 8192-entry blocks).
 //
 // The reduced matrices are sparse, so reading them back is proportional to
 // their set bits: a row becomes a polynomial by walking its set bits from
@@ -26,7 +27,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "anf/polynomial.h"
@@ -36,22 +36,66 @@ namespace bosphorus::core {
 
 struct Linearization {
     std::vector<anf::Monomial> col_monomial;  // column -> monomial
-    /// MonoId -> column index, for the monomials that occur in the system.
-    std::unordered_map<anf::MonoId, uint32_t> col_index;
     gf2::Matrix matrix;
 
     size_t rows() const { return matrix.rows(); }
     size_t cols() const { return matrix.cols(); }
+};
 
-    /// Column of a monomial; throws std::out_of_range if it does not
-    /// occur in the linearised system.
-    size_t col_of(const anf::Monomial& m) const {
-        return col_index.at(m.id());
+/// Polynomials as one flat buffer of term ids: row r is
+/// terms[offsets[r] .. offsets[r + 1]), each id at most once per row, in
+/// any order. XL expands straight into one instead of building products.
+struct TermRows {
+    std::vector<anf::MonoId> terms;
+    std::vector<size_t> offsets = {0};
+
+    size_t size() const { return offsets.size() - 1; }
+    void push(const anf::Polynomial& p) {
+        for (const auto& m : p.monomials()) terms.push_back(m.id());
+        offsets.push_back(terms.size());
     }
 };
 
-/// Build the linearised matrix of a polynomial system.
+/// Build the linearised matrix of a polynomial system, one row per
+/// polynomial (or per TermRows row), in order.
 Linearization linearize(const std::vector<anf::Polynomial>& polys);
+Linearization linearize(const TermRows& rows);
+
+/// A scope over this thread's mark table: one uint32_t per entry of the
+/// global MonomialStore, zero outside every scope, grown lazily as ids
+/// are marked. The scope records each id whose mark it hands out while
+/// zero (an id may be recorded more than once) and zeroes exactly those
+/// on exit, also when an exception unwinds. At most one scope per thread
+/// is open at a time; opening a second throws std::logic_error. The
+/// table is keyed by the store serial, so a compaction of the store (a
+/// new vocabulary under old id values) must bump the serial.
+class MonoMarks {
+public:
+    MonoMarks();
+    ~MonoMarks();
+    MonoMarks(const MonoMarks&) = delete;
+    MonoMarks& operator=(const MonoMarks&) = delete;
+
+    /// The mark of `id`; zero until set in this scope. The reference is
+    /// valid until the next call.
+    uint32_t& operator[](anf::MonoId id) {
+        if (id >= table_.marks.size()) grow(id);
+        uint32_t& m = table_.marks[id];
+        if (m == 0) table_.touched.push_back(id);
+        return m;
+    }
+
+private:
+    struct Table {
+        std::vector<uint32_t> marks;
+        std::vector<anf::MonoId> touched;
+        uint64_t serial = 0;  // the store the marks were sized for
+        bool open = false;
+    };
+    void grow(anf::MonoId id);
+
+    Table& table_;
+};
 
 /// Reduce the linearised matrix to RREF with gf2::Matrix::rref_sparse (the
 /// sparsest-pivot Gauss-Jordan kernel) and return its rank. The one

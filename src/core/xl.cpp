@@ -1,9 +1,8 @@
 #include "core/xl.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <numeric>
 
-#include "anf/monomial_store.h"
 #include "core/linearize.h"
 
 namespace bosphorus::core {
@@ -38,58 +37,40 @@ public:
     }
 
 private:
-    /// Generate the next multiplier into the cache. False when exhausted.
+    /// Generate the next multiplier into the cache: the next ascending
+    /// combination of variable indices of the current degree, else the
+    /// first of the next degree. False when exhausted.
     bool advance() {
         const size_t n = vars_.size();
-        while (deg_ <= max_degree_) {
-            switch (deg_) {
-                case 1:
-                    if (i_ < n) {
-                        cache_.push_back(Monomial(vars_[i_++]));
-                        return true;
-                    }
-                    break;
-                case 2:
-                    if (i_ + 1 < n) {
-                        cache_.push_back(Monomial(
-                            std::vector<Var>{vars_[i_], vars_[j_]}));
-                        if (++j_ >= n) j_ = ++i_ + 1;
-                        return true;
-                    }
-                    break;
-                case 3:  // XL beyond D=3 explodes; the paper uses D=1.
-                    if (i_ + 2 < n) {
-                        cache_.push_back(Monomial(std::vector<Var>{
-                            vars_[i_], vars_[j_], vars_[k_]}));
-                        if (++k_ >= n) {
-                            if (++j_ + 1 >= n) j_ = ++i_ + 1;
-                            k_ = j_ + 1;
-                        }
-                        return true;
-                    }
-                    break;
-            }
-            ++deg_;
-            i_ = 0;
-            j_ = 1;
-            k_ = 2;
+        size_t k = idx_.size();
+        size_t i = k;  // bump the rightmost index that can still grow
+        while (i > 0 && idx_[i - 1] == n - k + i - 1) --i;
+        if (i > 0) {
+            ++idx_[i - 1];
+            for (; i < k; ++i) idx_[i] = idx_[i - 1] + 1;
+        } else {
+            if (++k > max_degree_ || k > n) return false;
+            idx_.resize(k);
+            std::iota(idx_.begin(), idx_.end(), size_t{0});
         }
-        return false;
+        std::vector<Var> m;
+        for (size_t j : idx_) m.push_back(vars_[j]);
+        cache_.push_back(Monomial(std::move(m)));
+        return true;
     }
 
     const std::vector<Var>& vars_;
-    unsigned max_degree_;
+    unsigned max_degree_;  // XL beyond D=3 explodes; the paper uses D=1.
     std::vector<Monomial> cache_;  // interned ids, in generation order
-    unsigned deg_ = 1;
-    size_t i_ = 0, j_ = 1, k_ = 2;
+    std::vector<size_t> idx_;      // the last multiplier's variable indices
 };
 
 }  // namespace
 
-std::vector<Polynomial> expand_xl(const std::vector<Polynomial>& system,
-                                  const XlConfig& cfg, Rng& rng,
-                                  const runtime::CancellationToken& cancel,
-                                  size_t* sampled_equations) {
+Linearization expand_xl(const std::vector<Polynomial>& system,
+                        const XlConfig& cfg, Rng& rng,
+                        const runtime::CancellationToken& cancel,
+                        size_t* sampled_equations) {
     if (system.empty() || cancel.cancelled()) return {};
 
     const size_t sample_budget = size_t{1} << std::min(cfg.m_budget, 48u);
@@ -115,59 +96,75 @@ std::vector<Polynomial> expand_xl(const std::vector<Polynomial>& system,
     // across every source polynomial.
     Multipliers muls(vars, cfg.degree);
 
-    // 2. Incremental expansion, capped at ~2^(M + deltaM) bits. Distinct
-    // monomials are tracked as a set of 4-byte ids (the old set hashed a
-    // variable vector per insert).
-    std::vector<Polynomial> expanded = sampled;
-    std::unordered_set<MonoId> monos;
-    for (const auto& p : expanded)
-        for (const auto& m : p.monomials()) monos.insert(m.id());
-
-    auto size_ok = [&]() {
-        return expanded.size() * std::max<size_t>(monos.size(), 1) <
-               expand_budget;
-    };
-
-    for (const auto& p : sampled) {
-        if (!size_ok()) break;
-        // Cancellation boundary: one source polynomial's multiplier batch.
-        if (cancel.cancelled()) return {};
-        bool keep_going = true;
-        muls.for_each([&](const Monomial& mul) {
-            Polynomial prod = p * mul;
-            if (!prod.is_zero()) {
-                for (const auto& m : prod.monomials()) monos.insert(m.id());
-                expanded.push_back(std::move(prod));
-            }
-            keep_going = size_ok();
-            return keep_going;
-        });
-        if (!keep_going) break;
+    // 2. Incremental expansion, capped at ~2^(M + deltaM) bits: the
+    // sampled rows, then each product's terms written straight into the
+    // rows buffer. A mark's kParity bit cancels repeated terms within one
+    // product ((x + xy) * y = 0); its kSeen bit counts the distinct
+    // monomials of the rows kept so far.
+    constexpr uint32_t kParity = 1, kSeen = 2;
+    TermRows rows;
+    {
+        MonoMarks marks;
+        size_t distinct = 0;
+        auto keep = [&](MonoId id) {
+            uint32_t& m = marks[id];
+            distinct += !(m & kSeen);
+            m = kSeen;  // a repeat of a kept term now reads even parity
+            rows.terms.push_back(id);
+        };
+        auto size_ok = [&] {
+            return rows.size() * std::max<size_t>(distinct, 1) < expand_budget;
+        };
+        for (const auto& p : sampled) {
+            for (const auto& t : p.monomials()) keep(t.id());
+            rows.offsets.push_back(rows.terms.size());
+        }
+        std::vector<MonoId> prod;
+        for (const auto& p : sampled) {
+            if (!size_ok()) break;
+            // Cancellation boundary: one source polynomial's multiplier
+            // batch.
+            if (cancel.cancelled()) return {};
+            bool keep_going = true;
+            muls.for_each([&](const Monomial& mul) {
+                prod.clear();
+                for (const auto& t : p.monomials()) {
+                    prod.push_back((t * mul).id());
+                    marks[prod.back()] ^= kParity;
+                }
+                const size_t start = rows.terms.size();
+                for (MonoId id : prod)
+                    if (marks[id] & kParity) keep(id);
+                if (rows.terms.size() > start)
+                    rows.offsets.push_back(rows.terms.size());
+                return keep_going = size_ok();
+            });
+            if (!keep_going) break;
+        }
     }
+    if (cancel.cancelled()) return {};
     if (sampled_equations) *sampled_equations = sampled.size();
-    return expanded;
+    return linearize(rows);
 }
 
 std::vector<Polynomial> run_xl(const std::vector<Polynomial>& system,
                                const XlConfig& cfg, Rng& rng, XlStats* stats,
                                const runtime::CancellationToken& cancel) {
     size_t sampled = 0;
-    const std::vector<Polynomial> expanded =
-        expand_xl(system, cfg, rng, cancel, &sampled);
+    Linearization lin = expand_xl(system, cfg, rng, cancel, &sampled);
 
     // 3. Gauss-Jordan elimination on the linearisation.
     // No cancellation check after the elimination: once the expensive
     // reduction has completed, extracting its facts is cheap and they are
     // sound -- a cancelled run keeps them ("facts gathered so far").
-    if (expanded.empty() || cancel.cancelled()) return {};
-    Linearization lin = linearize(expanded);
+    if (lin.rows() == 0 || cancel.cancelled()) return {};
     const size_t rank = reduce(lin);
 
     std::vector<Polynomial> facts = extract_facts(lin);
 
     if (stats) {
         stats->sampled_equations = sampled;
-        stats->expanded_rows = expanded.size();
+        stats->expanded_rows = lin.rows();
         stats->columns = lin.cols();
         stats->rank = rank;
         stats->facts = facts.size();

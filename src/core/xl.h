@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "anf/polynomial.h"
+#include "core/linearize.h"
 #include "runtime/cancellation.h"
 #include "util/rng.h"
 
@@ -31,19 +32,23 @@ struct XlStats {
     size_t facts = 0;
 };
 
-/// Steps 1-2 of an XL pass: the rows XL eliminates (the subsampled system,
-/// then its products with the multipliers, capped at ~2^(M + deltaM)).
-/// Empty when `system` is empty or `cancel` fires. `sampled_equations`,
-/// if non-null, receives the subsample's size.
-std::vector<anf::Polynomial> expand_xl(
-    const std::vector<anf::Polynomial>& system, const XlConfig& cfg, Rng& rng,
-    const runtime::CancellationToken& cancel = {},
-    size_t* sampled_equations = nullptr);
+/// Steps 1-2 of an XL pass: the linearised rows XL eliminates (the
+/// subsampled system, then its products with the multipliers, capped at
+/// ~2^(M + deltaM)). Products are written term by term into a TermRows
+/// buffer, repeated terms cancelled by parity; a product that cancels to
+/// zero adds no row. The result equals linearize() of the canonical
+/// products, row for row. No rows when `system` is empty or `cancel`
+/// fires. `sampled_equations`, if non-null, receives the subsample's size.
+Linearization expand_xl(const std::vector<anf::Polynomial>& system,
+                        const XlConfig& cfg, Rng& rng,
+                        const runtime::CancellationToken& cancel = {},
+                        size_t* sampled_equations = nullptr);
 
-/// Run one XL pass: expand_xl(), then eliminate and extract_facts(). Returns the learnt facts (possibly including the
-/// constant-1 polynomial, meaning the system is UNSAT). `cancel` is polled
-/// at expansion-batch boundaries and around the elimination; a cancelled
-/// run returns the (possibly empty) facts gathered so far.
+/// Run one XL pass: expand_xl(), then eliminate and extract_facts().
+/// Returns the learnt facts (possibly including the constant-1
+/// polynomial, meaning the system is UNSAT). `cancel` is polled at
+/// expansion-batch boundaries and around the elimination; a cancelled run
+/// returns the (possibly empty) facts gathered so far.
 std::vector<anf::Polynomial> run_xl(
     const std::vector<anf::Polynomial>& system, const XlConfig& cfg, Rng& rng,
     XlStats* stats = nullptr,

@@ -268,10 +268,9 @@ TEST(ElimKernel, ExtractFactsSameFromKernelAndPlainRref) {
     core::XlConfig cfg = {};
     cfg.m_budget = 16;
     Rng xl_rng(5);
-    const auto expanded = core::expand_xl(p.polynomials(), cfg, xl_rng);
-    ASSERT_FALSE(expanded.empty());
+    core::Linearization kernel = core::expand_xl(p.polynomials(), cfg, xl_rng);
+    ASSERT_GT(kernel.rows(), 0u);
 
-    core::Linearization kernel = core::linearize(expanded);
     core::Linearization plain = kernel;
     const size_t rank = core::reduce(kernel);
     std::vector<size_t> pivots;

@@ -181,8 +181,7 @@ TEST(M4r, RealXlExpansionsMatchPlain) {
         core::XlConfig cfg;
         cfg.m_budget = 20;
         Rng xl_rng(7);
-        const core::Linearization lin =
-            core::linearize(core::expand_xl(*system, cfg, xl_rng));
+        const core::Linearization lin = core::expand_xl(*system, cfg, xl_rng);
         ASSERT_GT(lin.rows(), 1000u);
         gf2::Matrix plain = lin.matrix;
         std::vector<size_t> pivots;
