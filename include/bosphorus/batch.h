@@ -54,6 +54,12 @@ using Assumption = std::pair<anf::Var, bool>;
 /// Session scope before solving.
 using AssumptionSet = std::vector<Assumption>;
 
+/// The assumption a signed 1-based DIMACS-style literal names: 3 is
+/// (x3 = 1), i.e. (2, true), and -3 is (2, false). kInvalidArgument for 0
+/// and for a variable past anf::Var's range; the message names the
+/// variable as sent ("x4294967297"). INT64_MIN is handled, not negated.
+Result<Assumption> assumption_from_literal(int64_t lit);
+
 /// One configuration racing in a portfolio.
 struct PortfolioEntry {
     /// Label reported back in PortfolioOutcome ("xl-heavy", ...).

@@ -33,8 +33,11 @@
 ///    hook), so an expired job stops cooperatively and its worker thread
 ///    lives on.
 ///  - **A metrics surface.** `stats()` returns a consistent
-///    `ServiceStats` snapshot: job counters, queue depth, PAR-2,
-///    per-backend verdict tallies and the live `MonomialStore` occupancy.
+///    `ServiceStats` snapshot of what the service itself counts: job
+///    counters, queue depth, PAR-2 and per-backend verdict tallies. The
+///    process-global counters (`MonomialStore` occupancy, fault injector,
+///    resilience, circuit breakers, in-processing) stay where they live;
+///    the METRICS verb reads them there (src/service/protocol.cpp).
 ///
 /// Thread safety: every member of `SolveService` may be called from any
 /// thread concurrently (the service is the synchronisation point); the
@@ -47,13 +50,10 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "anf/monomial_store.h"
 #include "bosphorus/batch.h"
 #include "bosphorus/engine.h"
 #include "bosphorus/problem.h"
-#include "bosphorus/sat_backend.h"
 #include "bosphorus/status.h"
 
 namespace bosphorus {
@@ -197,9 +197,14 @@ struct BackendVerdicts {
     uint64_t unknown = 0;  ///< jobs that ended undecided under this backend
 };
 
-/// One consistent metrics snapshot of a running service (the METRICS verb
-/// of the wire protocol). Counters are cumulative since construction;
-/// gauges (queued/running/...) are instantaneous.
+/// One consistent snapshot of what a running service counts itself (the
+/// service's part of the METRICS verb of the wire protocol). Counters are
+/// cumulative since construction; gauges (queued/running/...) are
+/// instantaneous. Process-global state shared with every other engine in
+/// the process is not copied here: read it where it lives
+/// (`anf::MonomialStore::global().stats()`, `fault::FaultInjector::global()`,
+/// `sat::resilience_counters()`, `sat::BackendRegistry::global().health()`,
+/// `sat::inprocess::counters()`).
 struct ServiceStats {
     uint64_t accepted = 0;   ///< submits admitted into the queue
     uint64_t rejected = 0;   ///< submits refused by admission control
@@ -235,39 +240,7 @@ struct ServiceStats {
     /// built-in solver).
     std::map<std::string, BackendVerdicts> backend_verdicts;
 
-    /// Live occupancy of the process-global MonomialStore (append-only:
-    /// these only grow -- see MonomialStore::stats()).
-    anf::MonomialStore::Stats store;
-
     double uptime_s = 0.0;  ///< seconds since the service was constructed
-
-    // ---- resilience / fault surface (process-global, read-through) -------
-    /// The fault plan currently armed ("" when the injector is inert).
-    std::string fault_plan;
-    /// Total faults the injector has fired since it was last armed.
-    uint64_t faults_injected = 0;
-    /// ResilientBackend counters (see sat::resilience_counters()).
-    uint64_t resilience_attempts = 0;
-    uint64_t resilience_retries = 0;
-    uint64_t resilience_fallbacks = 0;
-    uint64_t resilience_garbage = 0;
-    uint64_t resilience_exhausted = 0;
-    /// Circuit-breaker state per backend plus the total open transitions
-    /// (see sat::HealthTracker).
-    uint64_t circuit_opens = 0;
-    std::vector<sat::HealthTracker::Snapshot> circuits;
-
-    /// Native-solver in-processing counters, process-global across every
-    /// live solver (see sat::inprocess::counters()). The tier_* entries
-    /// are live gauges; the rest are monotone totals.
-    uint64_t inprocess_vivified_literals = 0;
-    uint64_t inprocess_vivified_clauses = 0;
-    uint64_t inprocess_vivify_passes = 0;
-    uint64_t inprocess_reconf_decisions = 0;
-    uint64_t inprocess_db_reductions = 0;
-    int64_t inprocess_tier_core = 0;
-    int64_t inprocess_tier_mid = 0;
-    int64_t inprocess_tier_local = 0;
 };
 
 /// The multi-tenant solve service (see the file comment). Construct one
@@ -336,7 +309,8 @@ public:
     Status cancel(JobId id);
 
     // ---- introspection ---------------------------------------------------
-    /// One consistent metrics snapshot (see ServiceStats).
+    /// One consistent snapshot of the service's own counters and gauges
+    /// (see ServiceStats); reads no process-global counter.
     ServiceStats stats() const;
 
     /// Record that a connection front end lost its client mid-write

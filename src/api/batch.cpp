@@ -4,6 +4,7 @@
 #include "bosphorus/batch.h"
 
 #include <algorithm>
+#include <limits>
 #include <mutex>
 #include <utility>
 
@@ -14,6 +15,17 @@
 #include "util/timer.h"
 
 namespace bosphorus {
+
+Result<Assumption> assumption_from_literal(int64_t lit) {
+    // The magnitude in unsigned arithmetic: -INT64_MIN overflows int64_t.
+    const uint64_t var = lit < 0 ? 0 - uint64_t(lit) : uint64_t(lit);
+    const uint64_t n_vars = uint64_t(std::numeric_limits<anf::Var>::max()) + 1;
+    if (var == 0 || var > n_vars)
+        return Status::invalid_argument(
+            "assumption variable x" + std::to_string(var) +
+            " outside the variable index range x1..x" + std::to_string(n_vars));
+    return Assumption(static_cast<anf::Var>(var - 1), lit > 0);
+}
 
 // ---- BatchEngine -----------------------------------------------------------
 

@@ -595,14 +595,11 @@ Result<AssumptionSet> parse_assumptions(const std::string& text,
     long long lit = 0;
     while (in >> lit) {
         if (lit == 0) continue;
-        const long long v = lit > 0 ? lit : -lit;
-        if (v - 1 > static_cast<long long>(
-                        std::numeric_limits<anf::Var>::max())) {
-            return Status::parse_error(where + ": literal " +
-                                       std::to_string(lit) +
-                                       " exceeds the variable index range");
-        }
-        set.emplace_back(static_cast<anf::Var>(v - 1), lit > 0);
+        const Result<Assumption> assumption = assumption_from_literal(lit);
+        if (!assumption.ok())
+            return Status::parse_error(where + ": " +
+                                       assumption.status().message());
+        set.push_back(*assumption);
     }
     if (!in.eof())
         return Status::parse_error(where + ": expected signed integer "

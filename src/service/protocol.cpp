@@ -4,7 +4,10 @@
 #include <sstream>
 #include <vector>
 
+#include "anf/monomial_store.h"
 #include "bosphorus/bosphorus.h"
+#include "sat/inprocess/inprocess.h"
+#include "util/fault.h"
 #include "util/parse.h"
 
 namespace bosphorus::service {
@@ -105,6 +108,13 @@ std::string outcome_line(const JobOutcome& out) {
     return resp;
 }
 
+/// "OK JOB <id>" for an admitted job, else the admission error.
+std::string job_reply(const Result<JobId>& id) {
+    return id.ok() ? "OK JOB " + std::to_string(*id) + "\n" : err(id.status());
+}
+
+/// The METRICS block: the service's own snapshot, interleaved with the
+/// process-global counters read where they live. Keys keep their order.
 std::string metrics_block(const ServiceStats& s) {
     std::vector<std::pair<std::string, std::string>> kv;
     auto put = [&kv](const std::string& k, auto v) {
@@ -128,33 +138,38 @@ std::string metrics_block(const ServiceStats& s) {
         put("backend." + name + ".unsat", tally.unsat);
         put("backend." + name + ".unknown", tally.unknown);
     }
-    put("store_entries", s.store.entries);
-    put("store_arena_bytes", s.store.arena_bytes);
-    put("store_entry_bytes", s.store.entry_bytes);
-    put("store_mul_memo_entries", s.store.mul_memo_entries);
-    put("store_mul_memo_hits", s.store.mul_memo_hits);
-    put("store_mul_memo_misses", s.store.mul_memo_misses);
+    const auto store = anf::MonomialStore::global().stats();
+    put("store_entries", store.entries);
+    put("store_arena_bytes", store.arena_bytes);
+    put("store_entry_bytes", store.entry_bytes);
+    put("store_mul_memo_entries", store.mul_memo_entries);
+    put("store_mul_memo_hits", store.mul_memo_hits);
+    put("store_mul_memo_misses", store.mul_memo_misses);
     put("jobs_deadline_rejected", s.deadline_rejected);
     put("client_disconnects", s.client_disconnects);
     kv.emplace_back("run_ewma_s", fmt_seconds(s.ewma_run_s));
-    kv.emplace_back("fault_plan",
-                    s.fault_plan.empty() ? "-" : s.fault_plan);
-    put("faults_injected", s.faults_injected);
-    put("resilience.attempts", s.resilience_attempts);
-    put("resilience.retries", s.resilience_retries);
-    put("resilience.fallbacks", s.resilience_fallbacks);
-    put("resilience.garbage_rejected", s.resilience_garbage);
-    put("resilience.exhausted", s.resilience_exhausted);
-    put("inprocess.vivified_literals", s.inprocess_vivified_literals);
-    put("inprocess.vivified_clauses", s.inprocess_vivified_clauses);
-    put("inprocess.vivify_passes", s.inprocess_vivify_passes);
-    put("inprocess.reconf_decisions", s.inprocess_reconf_decisions);
-    put("inprocess.db_reductions", s.inprocess_db_reductions);
-    put("inprocess.tier_core", s.inprocess_tier_core);
-    put("inprocess.tier_mid", s.inprocess_tier_mid);
-    put("inprocess.tier_local", s.inprocess_tier_local);
-    put("circuit_opens", s.circuit_opens);
-    for (const auto& c : s.circuits) {
+    const fault::FaultInjector& inject = fault::FaultInjector::global();
+    const std::string plan = inject.plan();
+    kv.emplace_back("fault_plan", plan.empty() ? "-" : plan);
+    put("faults_injected", inject.total_fired());
+    const sat::ResilienceCounters& rc = sat::resilience_counters();
+    put("resilience.attempts", rc.attempts.load());
+    put("resilience.retries", rc.retries.load());
+    put("resilience.fallbacks", rc.fallbacks.load());
+    put("resilience.garbage_rejected", rc.garbage_rejected.load());
+    put("resilience.exhausted", rc.exhausted.load());
+    const sat::inprocess::InprocessCounters& ip = sat::inprocess::counters();
+    put("inprocess.vivified_literals", ip.vivified_literals.load());
+    put("inprocess.vivified_clauses", ip.vivified_clauses.load());
+    put("inprocess.vivify_passes", ip.vivify_passes.load());
+    put("inprocess.reconf_decisions", ip.reconf_decisions.load());
+    put("inprocess.db_reductions", ip.db_reductions.load());
+    put("inprocess.tier_core", ip.tier_core.load());
+    put("inprocess.tier_mid", ip.tier_mid.load());
+    put("inprocess.tier_local", ip.tier_local.load());
+    const sat::HealthTracker& health = sat::BackendRegistry::global().health();
+    put("circuit_opens", health.total_opens());
+    for (const auto& c : health.snapshot()) {
         const std::string prefix = "circuit." + c.backend + ".";
         kv.emplace_back(prefix + "state",
                         sat::HealthTracker::state_name(c.state));
@@ -218,12 +233,7 @@ ProtocolAction ProtocolHandler::handle(const std::string& request,
         req.problem = std::move(problem).value();
         req.timeout_s = timeout_s;
         if (toks[4] != "-") req.solver = toks[4];
-        Result<JobId> id = service_.submit(std::move(req));
-        if (!id.ok()) {
-            response = err(id.status());
-            return ProtocolAction::kContinue;
-        }
-        response = "OK JOB " + std::to_string(*id) + "\n";
+        response = job_reply(service_.submit(std::move(req)));
         return ProtocolAction::kContinue;
     }
 
@@ -272,16 +282,15 @@ ProtocolAction ProtocolHandler::handle(const std::string& request,
                                        "' (1-based signed, e.g. -3)");
                 return ProtocolAction::kContinue;
             }
-            const uint64_t var = uint64_t(lit < 0 ? -lit : lit) - 1;
-            assumptions.emplace_back(static_cast<anf::Var>(var), lit > 0);
+            const Result<Assumption> assumption = assumption_from_literal(lit);
+            if (!assumption.ok()) {
+                response = err(assumption.status());
+                return ProtocolAction::kContinue;
+            }
+            assumptions.push_back(*assumption);
         }
-        Result<JobId> id = service_.submit_assumptions(
-            client_for(toks[1]), toks[2], std::move(assumptions), timeout_s);
-        if (!id.ok()) {
-            response = err(id.status());
-            return ProtocolAction::kContinue;
-        }
-        response = "OK JOB " + std::to_string(*id) + "\n";
+        response = job_reply(service_.submit_assumptions(
+            client_for(toks[1]), toks[2], std::move(assumptions), timeout_s));
         return ProtocolAction::kContinue;
     }
 
@@ -291,13 +300,10 @@ ProtocolAction ProtocolHandler::handle(const std::string& request,
             response = err_invalid("usage: STATUS <job-id>");
             return ProtocolAction::kContinue;
         }
-        Result<JobState> state = service_.job_state(id);
-        if (!state.ok()) {
-            response = err(state.status());
-            return ProtocolAction::kContinue;
-        }
-        response = "OK STATUS " + std::to_string(id) + " " +
-                   job_state_name(*state) + "\n";
+        const Result<JobState> state = service_.job_state(id);
+        response = state.ok() ? "OK STATUS " + std::to_string(id) + " " +
+                                    job_state_name(*state) + "\n"
+                              : err(state.status());
         return ProtocolAction::kContinue;
     }
 
@@ -311,12 +317,8 @@ ProtocolAction ProtocolHandler::handle(const std::string& request,
             response = err_invalid("usage: RESULT <job-id> [<wait_s>]");
             return ProtocolAction::kContinue;
         }
-        Result<JobOutcome> outcome = service_.wait(id, wait_s);
-        if (!outcome.ok()) {
-            response = err(outcome.status());
-            return ProtocolAction::kContinue;
-        }
-        response = outcome_line(*outcome);
+        const Result<JobOutcome> outcome = service_.wait(id, wait_s);
+        response = outcome.ok() ? outcome_line(*outcome) : err(outcome.status());
         return ProtocolAction::kContinue;
     }
 

@@ -125,6 +125,7 @@ void SocketServer::accept_loop() {
         // even when no client ever connects.
         pollfd pfd{listen_fd_, POLLIN, 0};
         const int rc = ::poll(&pfd, 1, /*timeout_ms=*/200);
+        reap_finished_connections();
         if (rc <= 0) continue;  // timeout or EINTR: re-check the flag
         const int fd = ::accept(listen_fd_, nullptr, nullptr);
         if (fd < 0) continue;
@@ -174,8 +175,26 @@ void SocketServer::serve_connection(int fd, uint64_t client_id) {
     {
         std::lock_guard<std::mutex> lk(mu_);
         conn_fds_.erase(std::find(conn_fds_.begin(), conn_fds_.end(), fd));
+        finished_conns_.push_back(std::this_thread::get_id());
     }
     ::close(fd);
+}
+
+void SocketServer::reap_finished_connections() {
+    std::vector<std::thread> done;
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        for (const std::thread::id id : finished_conns_) {
+            const auto it = std::find_if(
+                conn_threads_.begin(), conn_threads_.end(),
+                [id](const std::thread& t) { return t.get_id() == id; });
+            done.push_back(std::move(*it));
+            conn_threads_.erase(it);
+        }
+        finished_conns_.clear();
+    }
+    // Each has left serve_connection; the join only waits out its exit.
+    for (std::thread& t : done) t.join();
 }
 
 void SocketServer::request_stop() {
@@ -216,6 +235,7 @@ void SocketServer::stop() {
         std::lock_guard<std::mutex> lk(mu_);
         for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
         threads.swap(conn_threads_);
+        finished_conns_.clear();
     }
     for (std::thread& t : threads) t.join();
 

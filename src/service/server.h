@@ -2,7 +2,9 @@
 // accept loop, one thread per connection, one ProtocolHandler per
 // connection (pinned to a per-connection client identity, so tenants
 // cannot write into each other's lanes by sending a forged <client>
-// token).
+// token). The accept loop joins each connection thread soon after it
+// finishes, so a long-lived daemon holds the stacks of live connections
+// only.
 //
 // Lifecycle is split so teardown never runs on a connection thread:
 // `request_stop()` is async-signal-thread-safe in spirit (flag + cv) and
@@ -64,6 +66,8 @@ public:
 private:
     void accept_loop();
     void serve_connection(int fd, uint64_t client_id);
+    /// Join the connection threads that have finished serving.
+    void reap_finished_connections();
 
     SolveService& service_;
     const std::string socket_path_;
@@ -72,9 +76,12 @@ private:
     std::thread accept_thread_;
     std::atomic<bool> stopping_{false};
 
-    std::mutex mu_;  // guards conn_fds_ / conn_threads_ / next_client_
+    // guards conn_fds_ / conn_threads_ / finished_conns_ / next_client_
+    std::mutex mu_;
     std::vector<int> conn_fds_;  // live connections (owning thread erases)
-    std::vector<std::thread> conn_threads_;
+    std::vector<std::thread> conn_threads_;  // not yet joined
+    // Threads that left serve_connection; the accept loop joins them.
+    std::vector<std::thread::id> finished_conns_;
     uint64_t next_client_ = 1;
 
     std::mutex stop_mu_;  // serialises stop(); stopped_ = teardown done

@@ -37,7 +37,6 @@
 #include "bosphorus/session.h"
 #include "runtime/cancellation.h"
 #include "runtime/thread_pool.h"
-#include "sat/inprocess/inprocess.h"
 #include "util/fault.h"
 #include "util/timer.h"
 
@@ -136,7 +135,7 @@ struct SolveService::Impl {
     /// drained: one EWMA runtime per full worker-rotation of the queue.
     /// Requires mu_.
     uint64_t retry_after_ms_locked() const {
-        const double ewma = ewma_run_s_ > 0 ? ewma_run_s_ : 0.05;
+        const double ewma = stats_.ewma_run_s > 0 ? stats_.ewma_run_s : 0.05;
         const double rotations =
             std::ceil(double(queued_ + 1) / double(workers_));
         const double wait_s = ewma * rotations;
@@ -148,7 +147,7 @@ struct SolveService::Impl {
         if (stopping_)
             return Status::unavailable("service is shutting down");
         if (queued_ >= cfg_.max_queued_jobs) {
-            ++stats_rejected_;
+            ++stats_.rejected;
             return Status::unavailable(
                 "job queue full (" + std::to_string(queued_) + " queued, cap " +
                 std::to_string(cfg_.max_queued_jobs) + ") retry_after_ms=" +
@@ -156,14 +155,14 @@ struct SolveService::Impl {
         }
         Lane* lane = lane_for_locked(job->client);
         if (lane == nullptr) {
-            ++stats_rejected_;
+            ++stats_.rejected;
             return Status::unavailable(
                 "client table full (cap " + std::to_string(cfg_.max_clients) +
                 " clients)");
         }
         if (cfg_.max_inflight_per_client > 0 &&
             lane->inflight >= cfg_.max_inflight_per_client) {
-            ++stats_rejected_;
+            ++stats_.rejected;
             return Status::unavailable(
                 "client '" + job->client + "' at its in-flight quota (" +
                 std::to_string(cfg_.max_inflight_per_client) +
@@ -179,11 +178,11 @@ struct SolveService::Impl {
         if (cfg_.deadline_admission && ewma_samples_ >= 4 &&
             running_ >= workers_) {
             const double est_wait_s =
-                ewma_run_s_ *
+                stats_.ewma_run_s *
                 std::ceil(double(queued_ + 1) / double(workers_));
-            if (est_wait_s + ewma_run_s_ > job->timeout_s) {
-                ++stats_rejected_;
-                ++stats_deadline_rejected_;
+            if (est_wait_s + stats_.ewma_run_s > job->timeout_s) {
+                ++stats_.rejected;
+                ++stats_.deadline_rejected;
                 return Status::unavailable(
                     "deadline " + std::to_string(job->timeout_s) +
                     "s unmeetable at current depth (est wait " +
@@ -196,7 +195,7 @@ struct SolveService::Impl {
         lane->queue.push_back(job);
         ++lane->inflight;
         ++queued_;
-        ++stats_accepted_;
+        ++stats_.accepted;
         dispatch_locked();
         return job->id;
     }
@@ -387,26 +386,27 @@ struct SolveService::Impl {
     /// Fold a terminal job into the counters. Requires mu_.
     void account_locked(const Job& job) {
         switch (job.state) {
-            case JobState::kDone: ++stats_completed_; break;
-            case JobState::kCancelled: ++stats_cancelled_; break;
-            case JobState::kExpired: ++stats_expired_; break;
-            case JobState::kFailed: ++stats_failed_; break;
+            case JobState::kDone: ++stats_.completed; break;
+            case JobState::kCancelled: ++stats_.cancelled; break;
+            case JobState::kExpired: ++stats_.expired; break;
+            case JobState::kFailed: ++stats_.failed; break;
             default: break;
         }
         if (job.state == JobState::kDone || job.state == JobState::kExpired) {
             const bool decided = job.report.verdict != sat::Result::kUnknown;
-            par2_sum_ += decided ? job.run_s : 2.0 * job.timeout_s;
-            ++par2_jobs_;
+            stats_.par2_sum += decided ? job.run_s : 2.0 * job.timeout_s;
+            ++stats_.par2_jobs;
         }
         if (job.run_s > 0.0) {
             // EWMA of observed runtimes, feeding deadline admission.
-            ewma_run_s_ = ewma_samples_ == 0
-                              ? job.run_s
-                              : 0.9 * ewma_run_s_ + 0.1 * job.run_s;
+            stats_.ewma_run_s =
+                ewma_samples_ == 0 ? job.run_s
+                                   : 0.9 * stats_.ewma_run_s + 0.1 * job.run_s;
             ++ewma_samples_;
         }
         if (job.state != JobState::kFailed) {
-            BackendVerdicts& tally = backend_verdicts_[backend_key(job.cfg)];
+            BackendVerdicts& tally =
+                stats_.backend_verdicts[backend_key(job.cfg)];
             if (job.report.verdict == sat::Result::kSat) ++tally.sat;
             else if (job.report.verdict == sat::Result::kUnsat) ++tally.unsat;
             else ++tally.unknown;
@@ -431,7 +431,7 @@ struct SolveService::Impl {
                 for (auto& job : lane.queue) {
                     if (job->state != JobState::kQueued) continue;
                     job->state = JobState::kCancelled;
-                    ++stats_cancelled_;
+                    ++stats_.cancelled;
                     release_inflight_locked(job->client);
                     retain_locked(job->id);
                 }
@@ -472,19 +472,9 @@ struct SolveService::Impl {
     size_t running_ = 0;
     bool stopping_ = false;
 
-    uint64_t stats_accepted_ = 0;
-    uint64_t stats_rejected_ = 0;
-    uint64_t stats_deadline_rejected_ = 0;
-    uint64_t stats_client_disconnects_ = 0;
-    uint64_t stats_completed_ = 0;
-    uint64_t stats_cancelled_ = 0;
-    uint64_t stats_expired_ = 0;
-    uint64_t stats_failed_ = 0;
-    double par2_sum_ = 0.0;
-    uint64_t par2_jobs_ = 0;
-    double ewma_run_s_ = 0.0;
+    // Lifetime counters; the gauges and uptime_s are filled by stats().
+    ServiceStats stats_;
     uint64_t ewma_samples_ = 0;
-    std::map<std::string, BackendVerdicts> backend_verdicts_;
     Timer uptime_;
 };
 
@@ -579,7 +569,7 @@ Result<JobId> SolveService::submit_assumptions(const std::string& client,
         (void)value;
         if (var >= slot->base.num_vars())
             return Status::invalid_argument(
-                "assumption variable x" + std::to_string(var + 1) +
+                "assumption variable x" + std::to_string(uint64_t(var) + 1) +
                 " outside the session's variable space (" +
                 std::to_string(slot->base.num_vars()) + " vars)");
     }
@@ -626,8 +616,8 @@ Result<JobOutcome> SolveService::wait(JobId id, double wait_s) {
     };
     if (wait_s < 0.0) {
         impl_->cv_.wait(lk, terminal);
-    } else if (!impl_->cv_.wait_for(
-                   lk, std::chrono::duration<double>(wait_s), terminal)) {
+    } else if (!impl_->cv_.wait_until(lk, deadline_from_now(wait_s),
+                                      terminal)) {
         return Status::timeout("job " + std::to_string(id) + " still " +
                                job_state_name(job->state) + " after " +
                                std::to_string(wait_s) + "s");
@@ -655,7 +645,7 @@ Status SolveService::cancel(JobId id) {
         job->state = JobState::kCancelled;
         job->queued_s = job->since_submit.seconds();
         --impl_->queued_;
-        ++impl_->stats_cancelled_;
+        ++impl_->stats_.cancelled;
         impl_->release_inflight_locked(job->client);
         impl_->retain_locked(id);
         lk.unlock();
@@ -667,72 +657,23 @@ Status SolveService::cancel(JobId id) {
 }
 
 ServiceStats SolveService::stats() const {
-    ServiceStats s;
-    {
-        std::lock_guard<std::mutex> lk(impl_->mu_);
-        s.accepted = impl_->stats_accepted_;
-        s.rejected = impl_->stats_rejected_;
-        s.deadline_rejected = impl_->stats_deadline_rejected_;
-        s.client_disconnects = impl_->stats_client_disconnects_;
-        s.ewma_run_s = impl_->ewma_run_s_;
-        s.completed = impl_->stats_completed_;
-        s.cancelled = impl_->stats_cancelled_;
-        s.expired = impl_->stats_expired_;
-        s.failed = impl_->stats_failed_;
-        s.queued = impl_->queued_;
-        s.running = impl_->running_;
-        s.clients = impl_->lanes_.size();
-        for (const auto& [key, lane] : impl_->lanes_) {
-            s.open_sessions += lane.sessions.size();
-            for (const auto& [name, slot] : lane.sessions)
-                if (slot->session) ++s.warm_sessions;
-        }
-        s.par2_sum = impl_->par2_sum_;
-        s.par2_jobs = impl_->par2_jobs_;
-        s.backend_verdicts = impl_->backend_verdicts_;
-        s.uptime_s = impl_->uptime_.seconds();
+    std::lock_guard<std::mutex> lk(impl_->mu_);
+    ServiceStats s = impl_->stats_;
+    s.queued = impl_->queued_;
+    s.running = impl_->running_;
+    s.clients = impl_->lanes_.size();
+    for (const auto& [key, lane] : impl_->lanes_) {
+        s.open_sessions += lane.sessions.size();
+        for (const auto& [name, slot] : lane.sessions)
+            if (slot->session) ++s.warm_sessions;
     }
-    s.store = anf::MonomialStore::global().stats();
-
-    // Process-global resilience / fault surface, read through so one
-    // METRICS round trip shows the whole failure-handling picture.
-    auto& inject = fault::FaultInjector::global();
-    s.fault_plan = inject.plan();
-    s.faults_injected = inject.total_fired();
-    const auto& counters = sat::resilience_counters();
-    s.resilience_attempts =
-        counters.attempts.load(std::memory_order_relaxed);
-    s.resilience_retries = counters.retries.load(std::memory_order_relaxed);
-    s.resilience_fallbacks =
-        counters.fallbacks.load(std::memory_order_relaxed);
-    s.resilience_garbage =
-        counters.garbage_rejected.load(std::memory_order_relaxed);
-    s.resilience_exhausted =
-        counters.exhausted.load(std::memory_order_relaxed);
-    const auto& health = sat::BackendRegistry::global().health();
-    s.circuit_opens = health.total_opens();
-    s.circuits = health.snapshot();
-    const auto& inproc = sat::inprocess::counters();
-    s.inprocess_vivified_literals =
-        inproc.vivified_literals.load(std::memory_order_relaxed);
-    s.inprocess_vivified_clauses =
-        inproc.vivified_clauses.load(std::memory_order_relaxed);
-    s.inprocess_vivify_passes =
-        inproc.vivify_passes.load(std::memory_order_relaxed);
-    s.inprocess_reconf_decisions =
-        inproc.reconf_decisions.load(std::memory_order_relaxed);
-    s.inprocess_db_reductions =
-        inproc.db_reductions.load(std::memory_order_relaxed);
-    s.inprocess_tier_core = inproc.tier_core.load(std::memory_order_relaxed);
-    s.inprocess_tier_mid = inproc.tier_mid.load(std::memory_order_relaxed);
-    s.inprocess_tier_local =
-        inproc.tier_local.load(std::memory_order_relaxed);
+    s.uptime_s = impl_->uptime_.seconds();
     return s;
 }
 
 void SolveService::note_client_disconnect() {
     std::lock_guard<std::mutex> lk(impl_->mu_);
-    ++impl_->stats_client_disconnects_;
+    ++impl_->stats_.client_disconnects;
 }
 
 void SolveService::shutdown() { impl_->shutdown(); }

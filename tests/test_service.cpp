@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -650,6 +651,29 @@ TEST(Service, WaitTimesOutWithoutConsumingTheJob) {
     EXPECT_EQ(out->state, JobState::kCancelled);
 }
 
+TEST(Service, HugeWaitBlocksUntilTheJobEnds) {
+    g_blocker_entered.store(0);
+    SolveService svc(blocking_service(1, 8));
+    const Result<JobId> id = svc.submit(one_shot("a", opaque_problem()));
+    ASSERT_TRUE(id.ok());
+    wait_blocker_entered(1);
+
+    // 1e10 s is past what steady_clock ticks can hold from now: the wait
+    // must saturate to "forever", not overflow into an instant timeout.
+    std::atomic<bool> returned{false};
+    std::optional<Result<JobOutcome>> out;
+    std::thread waiter([&] {
+        out = svc.wait(*id, 1e10);
+        returned.store(true, std::memory_order_release);
+    });
+    std::this_thread::sleep_for(100ms);
+    EXPECT_FALSE(returned.load(std::memory_order_acquire));
+    EXPECT_TRUE(svc.cancel(*id).ok());
+    waiter.join();
+    ASSERT_TRUE(out->ok()) << out->status().to_string();
+    EXPECT_EQ((*out)->state, JobState::kCancelled);
+}
+
 TEST(Service, RoundRobinIsFairAcrossClients) {
     g_blocker_entered.store(0);
     SolveService svc(blocking_service(1, 16));
@@ -834,9 +858,10 @@ TEST(Service, StatsSnapshotIsConsistent) {
     EXPECT_GT(stats.uptime_s, 0.0);
     // The store occupancy is live and append-only: never below a
     // snapshot taken earlier.
-    EXPECT_GE(stats.store.entries, before.entries);
-    EXPECT_GT(stats.store.entries, 0u);
-    EXPECT_GT(stats.store.arena_bytes, 0u);
+    const anf::MonomialStore::Stats store = anf::MonomialStore::global().stats();
+    EXPECT_GE(store.entries, before.entries);
+    EXPECT_GT(store.entries, 0u);
+    EXPECT_GT(store.arena_bytes, 0u);
     EXPECT_EQ(stats.backend_verdicts.at("native").sat, 1u);
 }
 

@@ -1,15 +1,20 @@
 // The bosphorusd wire protocol (src/service/protocol.h), driven entirely
 // in process: a ProtocolHandler over a live SolveService, fed request
 // strings -- no sockets involved, so every verb and error path is
-// deterministic and sanitizer-friendly.
+// deterministic and sanitizer-friendly. The SocketServer test at the end
+// serves real connections on a Unix socket, one at a time.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstring>
 #include <deque>
+#include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bosphorus/bosphorus.h"
@@ -216,6 +221,65 @@ TEST(Protocol, MetricsBlockIsCountPrefixed) {
     EXPECT_NE(block.find("store_entries "), std::string::npos);
 }
 
+// Clients parse METRICS by key, but dashboards diff whole blocks: the keys
+// keep their order. The circuit.<backend>.* lines are left out because
+// the backends they list depend on what ran earlier in the process.
+TEST(Protocol, MetricsKeysKeepTheirOrder) {
+    SolveService svc(quick_service());
+    Wire wire(svc);
+    const std::string sub = wire.request("SUBMIT me anf 5 - 5", kPaperAnf);
+    ASSERT_EQ(sub.rfind("OK JOB ", 0), 0u);
+    ASSERT_NE(wire.request("RESULT " + sub.substr(7, sub.size() - 8))
+                  .find(" done sat "),
+              std::string::npos);
+
+    const std::string block = wire.request("METRICS");
+    std::vector<std::string> keys;
+    for (size_t pos = block.find('\n') + 1; pos < block.size();) {
+        const size_t nl = block.find('\n', pos);
+        const std::string key = block.substr(pos, block.find(' ', pos) - pos);
+        if (key.rfind("circuit.", 0) != 0) keys.push_back(key);
+        pos = nl + 1;
+    }
+    const std::vector<std::string> expected = {
+        "jobs_accepted", "jobs_rejected", "jobs_completed", "jobs_cancelled",
+        "jobs_expired", "jobs_failed", "queue_depth", "running", "clients",
+        "open_sessions", "warm_sessions", "par2", "par2_jobs",
+        "backend.native.sat", "backend.native.unsat", "backend.native.unknown",
+        "store_entries", "store_arena_bytes", "store_entry_bytes",
+        "store_mul_memo_entries", "store_mul_memo_hits",
+        "store_mul_memo_misses", "jobs_deadline_rejected",
+        "client_disconnects", "run_ewma_s", "fault_plan", "faults_injected",
+        "resilience.attempts", "resilience.retries", "resilience.fallbacks",
+        "resilience.garbage_rejected", "resilience.exhausted",
+        "inprocess.vivified_literals", "inprocess.vivified_clauses",
+        "inprocess.vivify_passes", "inprocess.reconf_decisions",
+        "inprocess.db_reductions", "inprocess.tier_core", "inprocess.tier_mid",
+        "inprocess.tier_local", "circuit_opens", "uptime_s"};
+    EXPECT_EQ(keys, expected) << block;
+}
+
+TEST(Protocol, AssumeRejectsLiteralsBeyondTheVariableRange) {
+    SolveService svc(quick_service());
+    Wire wire(svc);
+    ASSERT_EQ(wire.request("SESSION OPEN me s anf 1", {"x1*x2 + 1"}), "OK\n");
+    // Each names a variable anf::Var cannot hold; none may wrap onto x1.
+    for (const auto& [lit, var] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"-4294967297", "x4294967297"},
+             {"4294967297", "x4294967297"},
+             {"-9223372036854775808", "x9223372036854775808"},
+             {"9223372036854775807", "x9223372036854775807"},
+             // The largest anf::Var, outside this 2-variable session.
+             {"4294967296", "x4294967296"}}) {
+        const std::string resp = wire.request("ASSUME me s - " + lit);
+        EXPECT_EQ(resp.rfind("ERR INVALID_ARGUMENT", 0), 0u) << lit << resp;
+        EXPECT_NE(resp.find(var + " "), std::string::npos) << lit << resp;
+    }
+    const std::string block = wire.request("METRICS");
+    EXPECT_NE(block.find("\njobs_accepted 0\n"), std::string::npos) << block;
+}
+
 TEST(Protocol, QuitAndShutdownActions) {
     SolveService svc(quick_service());
     Wire wire(svc);
@@ -312,6 +376,52 @@ TEST(Protocol, ClientDisconnectMidResultIsSurvivedAndCounted) {
     const std::string block = wire.request("METRICS");
     EXPECT_NE(block.find("\nclient_disconnects 1\n"), std::string::npos)
         << block;
+}
+
+/// This process's virtual size in kB (VmSize), 0 without procfs.
+uint64_t vm_size_kb() {
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line))
+        if (line.rfind("VmSize:", 0) == 0) return std::stoull(line.substr(7));
+    return 0;
+}
+
+/// Connect to `path`, send `request` and read until the server closes.
+std::string round_trip(const std::string& path, const std::string& request) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    std::string reply;
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0 &&
+        service::write_all_nosignal(fd, request)) {
+        char buf[256];
+        ssize_t n;
+        while ((n = ::read(fd, buf, sizeof buf)) > 0)
+            reply.append(buf, size_t(n));
+    }
+    ::close(fd);
+    return reply;
+}
+
+// A daemon serves connection after connection for days: each finished
+// connection's thread (its stack, its thread-local state) must be given
+// back then, not at shutdown.
+TEST(SocketServer, FinishedConnectionsDoNotPinTheirThreads) {
+    const std::string path =
+        "/tmp/bosphorus-conn-test-" + std::to_string(::getpid()) + ".sock";
+    SolveService svc(quick_service());
+    service::SocketServer server(svc, path);
+    ASSERT_TRUE(server.start().ok());
+    ASSERT_EQ(round_trip(path, "HELLO\nQUIT\n").rfind("OK bosphorusd ", 0), 0u);
+    const uint64_t before_kb = vm_size_kb();
+    for (int i = 0; i < 200; ++i)  // one at a time, never many at once
+        ASSERT_EQ(round_trip(path, "HELLO\nQUIT\n").rfind("OK bosphorusd ", 0),
+                  0u) << "connection " << i;
+    const int64_t grown_kb = int64_t(vm_size_kb()) - int64_t(before_kb);
+    server.stop();
+    EXPECT_LT(grown_kb, 64 * 1024) << "VmSize grew by " << grown_kb << " kB";
 }
 
 // bosphorusd parses its count options (--workers, --max-queue, ...) with
